@@ -18,9 +18,7 @@ from .nuclides import (
 )
 from .solver import (
     BoundState,
-    BranchCurve,
     Coupling,
-    branch_scan,
     finite_lifetime,
     has_bound_state,
     reconstruct_wavefunction,
@@ -44,9 +42,7 @@ __all__ = [
     "ScatteringEntry",
     "default_table",
     "BoundState",
-    "BranchCurve",
     "Coupling",
-    "branch_scan",
     "finite_lifetime",
     "has_bound_state",
     "reconstruct_wavefunction",

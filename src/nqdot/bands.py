@@ -42,7 +42,6 @@ def subband_dispersion(
     comp: CrystalComposition,
     k_samples: Sequence[float],
     max_states: int = 8,
-    n_samples: int = 48,
     table: Optional[NuclideTable] = None,
 ) -> list:
     """Bound sub-bands E_n(k) of a cylinder or slab, ascending n at each k.
@@ -65,11 +64,7 @@ def subband_dispersion(
         bloch = np.zeros(3)
         bloch[k_axis] = k
         states = solve_bound_states(
-            grid,
-            coupling,
-            max_states=max_states,
-            bloch_k=bloch,
-            n_samples=n_samples,
+            grid, coupling, max_states=max_states, bloch_k=bloch
         )
         # states come deepest-first; sub-band index orders energies upward
         for idx, s in enumerate(states):

@@ -199,7 +199,6 @@ def _solve_levels(args, shape, out_path, size_flag):
         "size_nm": size,
         "grid_div": args.grid_div,
         "max_states": args.max_states,
-        "scan_samples": args.scan_samples,
         "format": args.format or "csv",
         "nuclide_table": args.nuclide_table,
     }
@@ -209,12 +208,7 @@ def _solve_levels(args, shape, out_path, size_flag):
         coupling = Coupling.from_composition(comp, grid, table)
         if coupling.c >= 0:
             raise NoBoundState(table.composition_sums(comp)[0])
-        states = solve_bound_states(
-            grid,
-            coupling,
-            max_states=args.max_states,
-            n_samples=args.scan_samples,
-        )
+        states = solve_bound_states(grid, coupling, max_states=args.max_states)
     except NoBoundState as exc:
         _write_csv(
             out_path,
@@ -496,22 +490,16 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.add_argument("--radius-nm", type=float, help="sphere radius (nm)")
     p.add_argument("--max-states", type=int, default=12, help="level search cap (count)")
-    p.add_argument(
-        "--scan-samples", type=int, default=64,
-        help="kappa samples in the branch scan (count)",
-    )
 
     p = sub.add_parser("wire", help="bound levels of a cylindrical nanowire (k = 0)")
     _add_common(p)
     p.add_argument("--radius-nm", type=float, help="cylinder radius (nm)")
     p.add_argument("--max-states", type=int, default=8, help="level search cap (count)")
-    p.add_argument("--scan-samples", type=int, default=48, help="kappa scan samples (count)")
 
     p = sub.add_parser("film", help="bound levels of a thin film (k = 0)")
     _add_common(p)
     p.add_argument("--thickness-nm", type=float, help="film thickness (nm)")
     p.add_argument("--max-states", type=int, default=8, help="level search cap (count)")
-    p.add_argument("--scan-samples", type=int, default=48, help="kappa scan samples (count)")
 
     p = sub.add_parser("bands", help="sub-band dispersions / plane-wave bulk band")
     _add_common(p)
@@ -588,7 +576,6 @@ def _args_from_config(config: dict, output):
         "size_nm": None,  # resolved below
         "grid_div": "--grid-div",
         "max_states": "--max-states",
-        "scan_samples": "--scan-samples",
         "radius_nm": "--radius-nm",
         "thickness_nm": "--thickness-nm",
         "voltage_v": "--voltage-v",
@@ -641,10 +628,11 @@ def main(argv=None) -> int:
     if getattr(args, "threads", None):
         try:
             from threadpoolctl import threadpool_limits
-
-            limiter = threadpool_limits(limits=args.threads)
         except ImportError:
-            print("threadpoolctl not installed; --threads ignored", file=sys.stderr)
+            print("error: --threads needs threadpoolctl, which is not installed",
+                  file=sys.stderr)
+            return 2
+        limiter = threadpool_limits(limits=args.threads)
 
     try:
         handler = HANDLERS[args.subcommand]

@@ -3,15 +3,16 @@
 A state solves  psi_i + c sum_j K_ij(kappa) psi_j = 0  with coupling
 c = a0^3 * sum(n Re[b]) / V_cell < 0, which is equivalent to the nonlinear
 root problem  lambda_k(kappa) = 1  on the descending-ordered eigenvalue
-branches lambda_k of -c K(kappa).  The top branch is the Perron eigenvalue
-of an entrywise-decreasing positive matrix and is strictly decreasing in
-kappa; lower branches are located by a log-spaced scan (each bracketed sign
-change is then bisected).  Binding energy follows from the root:
-E_b = (hbar^2/2m_n) kappa^2.
-
-Scan policy: kappa descends from the bulk value kappa* (no finite geometry
-binds deeper) down to the kappa of a 1e-4 ueV state; shallower states are
-reported as absent.
+branches lambda_k of -c K(kappa).  The branches decrease in kappa (the top
+one strictly: it is the Perron eigenvalue of an entrywise-decreasing
+positive matrix), so the number of branches above 1 at the kappa floor, the
+kappa of a 1e-4 ueV state, is the number of bound states; shallower states
+are reported as absent.  Each level is then one bracketed root (Brent's
+method, no derivative of K needed) of its first branch between that floor
+and the bulk value kappa*, which no finite geometry binds deeper than.
+Branches within 1e-9 of it at the root join the level.  A root that misses
+|lambda - 1| <= LAMBDA_TOL raises NonConvergedEigensolve.  Binding energy
+follows from the root: E_b = (hbar^2/2m_n) kappa^2.
 """
 
 from __future__ import annotations
@@ -38,10 +39,10 @@ from .nuclides import CrystalComposition, NuclideTable, default_table
 
 DENSE_CUTOFF = 1500  # below this, full diagonalization beats Lanczos
 ENERGY_FLOOR_UEV = 1e-4  # states shallower than this are not searched for
-KAPPA_REL_TOL = 1e-6
+KAPPA_REL_TOL = 1e-9  # bracket width that ends a root: |1 - lambda| lands near 1e-10
 LAMBDA_TOL = 5e-7
+DEGENERATE_BRANCH_TOL = 1e-9  # branches this close at a root are one level
 DEGENERACY_REL_TOL = 1e-2
-DEFAULT_SCAN_SAMPLES = 64
 
 _ELL_LETTER = "spdfg"
 
@@ -102,27 +103,6 @@ class BoundState:
     def __post_init__(self):
         if abs(self.e_b - HBAR2_OVER_2MN * self.kappa**2) > 1e-12 * self.e_b:
             raise ValueError("e_b inconsistent with kappa")
-
-
-@dataclass(frozen=True)
-class BranchCurve:
-    """Scan of the top eigenvalue branches: (kappa, descending lambdas)."""
-
-    samples: tuple  # ((kappa, ndarray of lambdas), ...) kappa descending
-
-    def crossing_brackets(self, branch: int):
-        """(kappa_lo, kappa_hi, lam_lo, lam_hi) intervals where the branch
-        crosses 1 (kappa_lo < kappa_hi; lambda is larger at kappa_lo)."""
-        out = []
-        for (k_hi, lam_hi), (k_lo, lam_lo) in zip(self.samples, self.samples[1:]):
-            a, b = lam_hi[branch], lam_lo[branch]
-            if a < 1.0 <= b:
-                out.append((k_lo, k_hi, b, a))
-        return out
-
-    def sign_change_count(self, branch: int) -> int:
-        vals = np.array([lam[branch] for _, lam in self.samples])
-        return int(np.count_nonzero(np.diff(np.signbit(vals - 1.0))))
 
 
 class KernelFactory:
@@ -205,61 +185,31 @@ class TopEigenSolver:
         return vals[:m], None
 
 
-def _top_eigen(mat: np.ndarray, m: int, want_vectors: bool, solver=None):
-    solver = solver or TopEigenSolver(m)
-    return solver(mat, m, want_vectors)
-
-
 def kappa_floor() -> float:
     """Smallest kappa searched: the 1e-4 ueV binding-energy equivalent."""
     return math.sqrt(ENERGY_FLOOR_UEV / HBAR2_OVER_2MN)
 
 
-def branch_scan(
-    grid: Grid,
-    coupling: Coupling,
-    kappa_range: Optional[tuple] = None,
-    n_samples: int = DEFAULT_SCAN_SAMPLES,
-    m_branches: int = 8,
-    bloch_k=None,
-    factory: Optional[KernelFactory] = None,
-    eigensolver: Optional[TopEigenSolver] = None,
-) -> BranchCurve:
-    """Sample the m largest eigenvalues of -c K(kappa) on a descending
-    log-spaced kappa ladder."""
-    if coupling.c >= 0:
-        raise ValueError("branch_scan requires an attractive coupling (c < 0)")
-    if kappa_range is None:
-        kappa_range = (kappa_floor(), coupling.kappa_star)
-    k_lo, k_hi = kappa_range
-    if not 0 < k_lo < k_hi:
-        raise ValueError("kappa_range must satisfy 0 < lo < hi")
-    factory = factory or KernelFactory(grid, bloch_k)
-    eigensolver = eigensolver or TopEigenSolver(m_branches)
-    strength = -coupling.c
-    samples = []
-    for kappa in np.geomspace(k_hi, k_lo, n_samples):
-        vals, _ = eigensolver(factory(kappa), m_branches, want_vectors=False)
-        samples.append((float(kappa), strength * vals))
-    return BranchCurve(samples=tuple(samples))
+class _BranchValues:
+    """The m largest eigenvalues of -c K(kappa), descending, memoized by
+    kappa so that no kappa is diagonalized twice in one solve."""
+
+    def __init__(self, grid: Grid, coupling: Coupling, m: int, bloch_k=None):
+        self.kernel = KernelFactory(grid, bloch_k)
+        self.eigen = TopEigenSolver(m)
+        self.strength = -coupling.c
+        self._memo = {}
+
+    def __call__(self, kappa: float) -> np.ndarray:
+        kappa = float(kappa)
+        if kappa not in self._memo:
+            vals, _ = self.eigen(self.kernel(kappa))
+            self._memo[kappa] = self.strength * vals
+        return self._memo[kappa]
 
 
-def _bisect_branch(factory, strength, branch, k_lo, k_hi, eigensolver):
-    """Bisect lambda_branch(kappa) = 1 inside (k_lo, k_hi)."""
-    lo, hi = k_lo, k_hi  # lambda(lo) > 1 > lambda(hi)
-    lam_mid = None
-    mid = 0.5 * (lo + hi)
-    for _ in range(100):
-        mid = 0.5 * (lo + hi)
-        vals, _ = eigensolver(factory(mid), branch + 1, want_vectors=False)
-        lam_mid = strength * vals[branch]
-        if lam_mid >= 1.0:
-            lo = mid
-        else:
-            hi = mid
-        if (hi - lo) <= KAPPA_REL_TOL * mid and abs(lam_mid - 1.0) <= LAMBDA_TOL:
-            break
-    return mid, lam_mid
+def _branch_excess(kappa: float, branches: _BranchValues, b: int) -> float:
+    return branches(kappa)[b] - 1.0
 
 
 def _fix_phase(vec: np.ndarray) -> np.ndarray:
@@ -281,72 +231,67 @@ def solve_bound_states(
     max_states: int = 12,
     bloch_k=None,
     kappa_range: Optional[tuple] = None,
-    n_samples: int = DEFAULT_SCAN_SAMPLES,
 ) -> list:
     """All bound states with E_b above the energy floor, deepest first.
 
-    Returns an empty list when no branch crosses 1 (that is the no-bound-
-    state answer, not an error).
+    kappa_range = (lo, hi) defaults to (kappa floor, kappa*).  Returns an
+    empty list when no branch is above 1 at lo (that is the no-bound-state
+    answer, not an error).  Raises NonConvergedEigensolve when a counted
+    branch has no root below hi or its root does not converge.
     """
     if coupling.c >= 0:
         raise ValueError("solve_bound_states requires c < 0")
-    factory = KernelFactory(grid, bloch_k)
-    eigensolver = TopEigenSolver(max_states)
-    curve = branch_scan(
-        grid,
-        coupling,
-        kappa_range,
-        n_samples,
-        m_branches=max_states,
-        bloch_k=bloch_k,
-        factory=factory,
-        eigensolver=eigensolver,
-    )
-    strength = -coupling.c
-    m_avail = len(curve.samples[0][1])
+    # imported here, not with the module: scipy.optimize adds about a
+    # quarter to the cold start of every command, most of which never solve
+    from scipy.optimize import brentq
 
-    # Collect (branch, bracket); identical brackets from degenerate branches
-    # share one bisection run.
-    pending = []
-    for b in range(m_avail):
-        for k_lo, k_hi, lam_lo, lam_hi in curve.crossing_brackets(b):
-            pending.append((b, k_lo, k_hi, lam_lo, lam_hi))
-    clusters = []
-    for item in sorted(pending, key=lambda t: (t[1], t[0])):
-        b, k_lo, k_hi, lam_lo, lam_hi = item
-        placed = False
-        for cl in clusters:
-            _, ck_lo, ck_hi, cl_lo, cl_hi = cl[0]
-            if (
-                abs(ck_lo - k_lo) < 1e-12 * k_hi
-                and abs(ck_hi - k_hi) < 1e-12 * k_hi
-                and abs(cl_lo - lam_lo) < 1e-9
-                and abs(cl_hi - lam_hi) < 1e-9
-            ):
-                cl.append(item)
-                placed = True
-                break
-        if not placed:
-            clusters.append([item])
+    k_lo, k_hi = kappa_range or (kappa_floor(), coupling.kappa_star)
+    if not 0 < k_lo < k_hi:
+        raise ValueError("kappa_range must satisfy 0 < lo < hi")
+    branches = _BranchValues(grid, coupling, max_states, bloch_k)
+    n_bound = int(np.count_nonzero(branches(k_lo) > 1.0))
 
-    roots = []  # (kappa_root, [branch indices])
-    for cl in clusters:
-        branches = sorted(t[0] for t in cl)
-        rep = branches[-1]
-        _, k_lo, k_hi, _, _ = cl[0]
-        kappa_root, _lam = _bisect_branch(
-            factory, strength, rep, k_lo, k_hi, eigensolver
+    levels = []  # (kappa_root, [branch indices])
+    b = 0
+    while b < n_bound:
+        if branches(k_hi)[b] >= 1.0:
+            raise NonConvergedEigensolve(
+                f"branch {b} is still above 1 at kappa = {k_hi:.6g}/nm: "
+                "its root lies outside the bracket"
+            )
+        # branches goes in through args, not a closure: brentq wraps f in a
+        # self-referencing closure, so whatever f closes over (here two N x N
+        # kernel buffers) would outlive the solve until the next full gc
+        kappa, info = brentq(
+            _branch_excess,
+            k_lo,
+            k_hi,
+            args=(branches, b),
+            rtol=KAPPA_REL_TOL,
+            full_output=True,
+            disp=False,
         )
-        roots.append((kappa_root, branches))
+        lam = branches(kappa)
+        if not info.converged or abs(lam[b] - 1.0) > LAMBDA_TOL:
+            raise NonConvergedEigensolve(
+                f"branch {b}: |lambda - 1| = {abs(lam[b] - 1.0):.3e} at "
+                f"kappa = {kappa:.9g}/nm after {info.iterations} root steps "
+                f"(converged: {info.converged})"
+            )
+        members = [
+            j for j in range(b, n_bound) if abs(lam[j] - lam[b]) <= DEGENERATE_BRANCH_TOL
+        ]
+        levels.append((kappa, members))
+        b = members[-1] + 1
 
     states = []
     a0 = grid.spacing
-    for kappa_root, branches in sorted(roots, key=lambda t: -t[0]):
-        kernel_at_root = factory(kappa_root)
-        _vals, vecs = eigensolver(
-            kernel_at_root, branches[-1] + 1, want_vectors=True
+    for kappa_root, members in levels:
+        kernel_at_root = branches.kernel(kappa_root)
+        _vals, vecs = branches.eigen(
+            kernel_at_root, members[-1] + 1, want_vectors=True
         )
-        for b in branches:
+        for b in members:
             unit = vecs[:, b] / np.linalg.norm(vecs[:, b])
             res = float(
                 np.linalg.norm(unit + coupling.c * (kernel_at_root @ unit))
@@ -366,7 +311,6 @@ def solve_bound_states(
             )
 
     states.sort(key=lambda s: -s.e_b)
-    states = states[:max_states]
     return _assign_groups_and_labels(states, grid)
 
 
@@ -489,12 +433,11 @@ def _assign_groups_and_labels(states: list, grid: Grid) -> list:
 
 
 def has_bound_state(grid: Grid, coupling: Coupling, bloch_k=None) -> bool:
-    """Existence test: top branch above 1 at the scan floor kappa."""
+    """Existence test: top branch above 1 at the kappa floor, the count
+    solve_bound_states starts from."""
     if coupling.c >= 0:
         return False
-    factory = KernelFactory(grid, bloch_k)
-    vals, _ = _top_eigen(factory(kappa_floor()), 1, want_vectors=False)
-    return bool(-coupling.c * vals[0] > 1.0)
+    return bool(_BranchValues(grid, coupling, 1, bloch_k)(kappa_floor())[0] > 1.0)
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ bound states at the Rabi rate
 with d_mn the position matrix element between the two states.  d_mn is
 integrated on the solver lattice extended to a cube of side 3R around the
 sphere center (trapezoidal weights); the reconstructed field supplies
-values outside the crystal.
+values outside the crystal, and each state is normalized on that same box.
 """
 
 from __future__ import annotations
@@ -112,7 +112,8 @@ def dipole_element(
     coupling: Coupling,
     box_factor: float = 3.0,
 ) -> TransitionElement:
-    """d_mn = integral psi_m* r psi_n over the 3R cube, on the a0 lattice."""
+    """d_mn = integral psi_m* r psi_n over the 3R cube, on the a0 lattice,
+    with both states normalized over that cube."""
     if grid.spec is None or grid.spec.shape != SPHERE:
         raise GeometryMismatch("dipole elements are defined for sphere grids")
     sig = grid.signature()
@@ -125,8 +126,11 @@ def dipole_element(
         f_n = f_m
     else:
         f_n = _box_field(state_n, grid, coupling, pts_int, a0, box_factor)
-    integrand = np.conj(f_m) * f_n * w
-    d = (pts_int * a0 * integrand[:, None]).sum(axis=0) * a0**3
+    # psi is normalized on the crystal cells only; normalizing each state
+    # again over the box counts its exterior tail (the a0^3 cell volumes cancel)
+    norm = math.sqrt(float(np.sum(np.abs(f_m) ** 2 * w) * np.sum(np.abs(f_n) ** 2 * w)))
+    integrand = np.conj(f_m) * f_n * w / norm
+    d = (pts_int * a0 * integrand[:, None]).sum(axis=0)
     d = d.real if np.max(np.abs(np.imag(np.atleast_1d(d)))) < 1e-12 else d
     diag = math.sqrt(3.0) * (pts_int[:, 0].max() - pts_int[:, 0].min()) * a0
     if np.linalg.norm(d) > diag:

@@ -145,7 +145,7 @@ def test_criterion_5_monotonicity_and_bounds(lih, lih_bulk, r30, r40):
     for radius in (15.0, 20.0, 25.0):
         grid = build_grid(GeometrySpec.sphere(radius, 10))
         coupling = Coupling.from_composition(lih, grid)
-        states = solve_bound_states(grid, coupling, max_states=1, n_samples=12)
+        states = solve_bound_states(grid, coupling, max_states=1)
         energies[radius] = states[0].e_b
     energies[30.0] = r30.states[0].e_b
     energies[40.0] = r40.states[0].e_b
@@ -285,7 +285,7 @@ def test_criterion_9_determinism(tmp_path):
         code = main(
             [
                 "dot", "--material", "LiH", "--radius-nm", "20",
-                "--grid-div", "5", "--max-states", "2", "--scan-samples", "16",
+                "--grid-div", "5", "--max-states", "2",
                 "--output", str(out),
             ]
         )

@@ -90,6 +90,6 @@ def test_thick_slab_approaches_bulk_level(lih, lih_bulk):
     """t = 400 nm film at a resolution that resolves 1/kappa* (a0 = 2 nm):
     the deepest sub-band sits within 5% of the bulk level."""
     pts = subband_dispersion(
-        GeometrySpec.slab(400.0, 200), lih, [0.0], max_states=1, n_samples=24
+        GeometrySpec.slab(400.0, 200), lih, [0.0], max_states=1
     )
     assert pts[0].energy_ueV == pytest.approx(-lih_bulk.e_b_star, rel=0.05)

@@ -1,3 +1,4 @@
+import importlib.util
 import json
 from pathlib import Path
 
@@ -51,7 +52,7 @@ def test_dot_below_critical_radius_empty_marker(tmp_path):
     code = main(
         [
             "dot", "--material", "LiH", "--radius-nm", "10",
-            "--scan-samples", "12", "--max-states", "2",
+            "--max-states", "2",
             "--output", str(out),
         ]
     )
@@ -66,8 +67,7 @@ def test_dot_level_table(tmp_path):
     out = tmp_path / "dot.csv"
     code = main(
         [
-            "dot", "--material", "LiH", "--radius-nm", "40",
-            "--scan-samples", "32", "--output", str(out),
+            "dot", "--material", "LiH", "--radius-nm", "40", "--output", str(out),
         ]
     )
     assert code == 0
@@ -93,7 +93,7 @@ def test_film_and_wire_tables(tmp_path):
     out_w = tmp_path / "wire.csv"
     assert main(
         ["wire", "--material", "LiH", "--radius-nm", "25", "--max-states", "4",
-         "--scan-samples", "24", "--output", str(out_w)]
+         "--output", str(out_w)]
     ) == 0
     _h, rows_w = read_rows(out_w)
     assert len(rows_w) >= 1
@@ -170,6 +170,17 @@ def test_validation_errors_exit_2(tmp_path, capsys):
     assert main(["dot", "--material", "LiH", "--output", str(tmp_path / "x.csv")]) == 2
     assert "--radius-nm" in capsys.readouterr().err
     assert main(["bulk", "--material", "NoSuchMaterial"]) == 2
+
+
+@pytest.mark.skipif(
+    importlib.util.find_spec("threadpoolctl") is not None,
+    reason="threadpoolctl is installed, so --threads takes effect",
+)
+def test_threads_without_threadpoolctl_exits_2(tmp_path, capsys):
+    out = tmp_path / "bulk.json"
+    assert main(["bulk", "--material", "LiH", "--threads", "1", "--output", str(out)]) == 2
+    assert "--threads" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_config_round_trip(tmp_path):

@@ -5,7 +5,7 @@ import pytest
 
 from nqdot.geometry import GeometrySpec, Grid, build_grid
 from nqdot.kernel import assemble_kernel, assemble_kernel_direct
-from nqdot.solver import Coupling, branch_scan
+from nqdot.solver import Coupling, _BranchValues
 
 
 def two_point_grid(distance):
@@ -117,9 +117,7 @@ def test_branch_values_linear_in_coupling(lih):
     grid = build_grid(GeometrySpec.sphere(6.0, 6))
     c_full = Coupling.from_composition(lih, grid)
     c_tiny = Coupling(c=c_full.c * 1e-3, spacing=c_full.spacing)
-    kw = dict(kappa_range=(0.02, 0.3), n_samples=5, m_branches=3)
-    full = branch_scan(grid, c_full, **kw)
-    tiny = branch_scan(grid, c_tiny, **kw)
-    for (k1, lam1), (k2, lam2) in zip(full.samples, tiny.samples):
-        assert k1 == k2
-        assert np.allclose(lam2, lam1 * 1e-3, rtol=1e-12)
+    full = _BranchValues(grid, c_full, 3)
+    tiny = _BranchValues(grid, c_tiny, 3)
+    for kappa in np.geomspace(0.3, 0.02, 5):
+        assert np.allclose(tiny(kappa), full(kappa) * 1e-3, rtol=1e-12)

@@ -2,17 +2,18 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 from scipy.optimize import brentq
 from scipy.special import spherical_jn, spherical_kn
 
 from nqdot.constants import HBAR2_OVER_2MN
-from nqdot.errors import EvalTooCloseToSource
+from nqdot.errors import EvalTooCloseToSource, NonConvergedEigensolve
 from nqdot.geometry import GeometrySpec, build_grid
 from nqdot.nuclides import CrystalComposition, NuclideTable, ScatteringEntry
 from nqdot.solver import (
     BoundState,
     Coupling,
-    branch_scan,
+    _BranchValues,
     exterior_weight,
     finite_lifetime,
     has_bound_state,
@@ -22,6 +23,7 @@ from nqdot.solver import (
     reconstruction_scale,
     solve_bound_states,
 )
+from nqdot.transitions import dipole_element
 
 
 def spherical_well_ground_state(depth_ueV, radius_nm):
@@ -104,6 +106,38 @@ def spherical_well_state_labels(depth_ueV, radius_nm):
     ]
 
 
+def spherical_well_dipole_1s_1p(depth_ueV, radius_nm):
+    """|d(1s -> 1p)| of the finite spherical square well in nm, summed in
+    quadrature over the 1p triple (independent oracle).
+
+    Each radial function is j_l(q r) inside and the matching multiple of
+    k_l(kappa r) outside, with q^2 + kappa^2 = V0/C; normalized over all
+    space, |d| is the radial integral of R_1s R_1p r^3.
+    """
+    kappa_star = math.sqrt(depth_ueV / HBAR2_OVER_2MN)
+    e_b = {label: e for label, _ell, e in spherical_well_levels(depth_ueV, radius_nm)}
+
+    def radial(ell, e):
+        kappa = math.sqrt(e / HBAR2_OVER_2MN)
+        q = math.sqrt(kappa_star**2 - kappa**2)
+        tail = spherical_jn(ell, q * radius_nm) / spherical_kn(ell, kappa * radius_nm)
+
+        def f(r):
+            if r <= radius_nm:
+                return spherical_jn(ell, q * r)
+            return tail * spherical_kn(ell, kappa * r)
+
+        norm = quad(lambda r: (f(r) * r) ** 2, 0, radius_nm, epsrel=1e-12)[0]
+        norm += quad(lambda r: (f(r) * r) ** 2, radius_nm, np.inf, epsrel=1e-12)[0]
+        return lambda r: f(r) / math.sqrt(norm)
+
+    r_s, r_p = radial(0, e_b["1s"]), radial(1, e_b["1p"])
+    integrand = lambda r: r_s(r) * r_p(r) * r**3
+    d = quad(integrand, 0, radius_nm, epsrel=1e-12)[0]
+    d += quad(integrand, radius_nm, np.inf, epsrel=1e-12)[0]
+    return abs(d)
+
+
 def test_spherical_well_thresholds_closed_forms():
     s = spherical_well_thresholds(0, 6.0)
     p = spherical_well_thresholds(1, 6.0)
@@ -124,6 +158,18 @@ def test_spherical_well_levels_match_s_wave_oracle(lih_bulk):
         else:
             assert levels[0][:2] == ("1s", 0)
             assert levels[0][2] == pytest.approx(ground, rel=1e-9)
+
+
+def test_r30_dipole_against_spherical_well_oracle(r30, lih_bulk):
+    """The 1s -> 1p dipole, quadrature-summed over the triple, matches the
+    well's: both states normalized over all space, exterior tail included."""
+    ground = r30.states[0]
+    parts = [
+        dipole_element(ground, p, r30.grid, r30.coupling).d_mn_nm
+        for p in r30.group("1p")
+    ]
+    d = math.sqrt(sum(float(v @ v) for v in parts))
+    assert d == pytest.approx(spherical_well_dipole_1s_1p(lih_bulk.e_b_star, 30.0), rel=0.03)
 
 
 # ---------------------------------------------------------------------------
@@ -197,23 +243,65 @@ def test_finite_binding_below_bulk(r30, r40, lih_bulk):
 def test_below_critical_radius_empty(lih):
     grid = build_grid(GeometrySpec.sphere(12.0, 10))
     coupling = Coupling.from_composition(lih, grid)
-    states = solve_bound_states(grid, coupling, max_states=2, n_samples=16)
+    states = solve_bound_states(grid, coupling, max_states=2)
     assert states == []
 
 
 def test_branch_scan_existence_signals(lih):
+    """Top branch on six log-spaced kappa from kappa* down to the floor."""
     g30 = build_grid(GeometrySpec.sphere(30.0, 10))
     c30 = Coupling.from_composition(lih, g30)
-    curve = branch_scan(g30, c30, n_samples=6, m_branches=1)
-    assert curve.samples[-1][1][0] > 1.0  # lambda_1 at the kappa floor
-    assert curve.sign_change_count(0) == 1  # monotone top branch: one root
+    branches = _BranchValues(g30, c30, 1)
+    top = np.array([branches(k)[0] for k in np.geomspace(c30.kappa_star, kappa_floor(), 6)])
+    assert top[-1] > 1.0  # lambda_1 at the kappa floor
+    assert np.count_nonzero(np.diff(np.signbit(top - 1.0))) == 1  # monotone: one root
 
     g10 = build_grid(GeometrySpec.sphere(10.0, 10))
     c10 = Coupling.from_composition(lih, g10)
-    curve = branch_scan(g10, c10, n_samples=6, m_branches=1)
-    assert all(lam[0] < 1.0 for _k, lam in curve.samples)
-    assert curve.sign_change_count(0) == 0
+    branches = _BranchValues(g10, c10, 1)
+    top = np.array([branches(k)[0] for k in np.geomspace(c10.kappa_star, kappa_floor(), 6)])
+    assert np.all(top < 1.0)
+    assert np.count_nonzero(np.diff(np.signbit(top - 1.0))) == 0
     assert not has_bound_state(g10, c10)
+
+
+def test_existence_test_agrees_with_solve_across_critical_radius(lih):
+    """has_bound_state and the solve count the same branches: on grid_div 5
+    the critical radius lies between 13.0 and 13.5 nm."""
+    found = []
+    for radius in (12.5, 13.0, 13.5, 14.0):
+        grid = build_grid(GeometrySpec.sphere(radius, 5))
+        coupling = Coupling.from_composition(lih, grid)
+        exists = has_bound_state(grid, coupling)
+        assert exists == bool(solve_bound_states(grid, coupling, max_states=2))
+        found.append(exists)
+    assert found == [False, False, True, True]
+
+
+def test_root_at_a_step_raises(lih, monkeypatch):
+    """A branch that jumps over 1 has a bracket but no root: the solve must
+    raise, not return the kappa of the jump."""
+    grid = build_grid(GeometrySpec.sphere(20.0, 5))
+    coupling = Coupling.from_composition(lih, grid)
+    kappa_0 = 0.05
+
+    def step(self, kappa):
+        return np.array([1.5 if kappa < kappa_0 else 0.5])
+
+    monkeypatch.setattr(_BranchValues, "__call__", step)
+    with pytest.raises(NonConvergedEigensolve):
+        solve_bound_states(grid, coupling, max_states=1)
+
+
+def test_r41_25_full_structure_after_lobpcg_stall(lih, lih_bulk):
+    """R = 41.25 nm, where block LOBPCG once stalled on a scan or
+    bisection kappa: the solve must return the oracle's level list."""
+    grid = build_grid(GeometrySpec.sphere(41.25, 10))
+    coupling = Coupling.from_composition(lih, grid)
+    states = solve_bound_states(grid, coupling, max_states=12)
+    labels = spherical_well_state_labels(lih_bulk.e_b_star, 41.25)
+    assert labels == ["1s"] + ["1p"] * 3 + ["1d"] * 5 + ["2s"]
+    assert [s.level_label for s in states] == labels
 
 
 def test_positive_coupling_rejected(lih):
@@ -233,7 +321,7 @@ def test_refinement_stability_of_deepest_level(lih, r30):
     """grid_div 10 -> 12 moves the deepest eigenvalue by < 5%."""
     grid = build_grid(GeometrySpec.sphere(30.0, 12))
     coupling = Coupling.from_composition(lih, grid)
-    fine = solve_bound_states(grid, coupling, max_states=1, n_samples=12)
+    fine = solve_bound_states(grid, coupling, max_states=1)
     assert fine[0].e_b == pytest.approx(r30.states[0].e_b, rel=0.05)
 
 
