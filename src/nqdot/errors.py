@@ -44,7 +44,7 @@ class UnboundedImageSet(NqdotError):
 
 
 class NonConvergedEigensolve(NqdotError):
-    """Iterative eigensolver exceeded its iteration cap."""
+    """A level's root did not converge, left its bracket or missed lambda = 1."""
 
 
 class EvalTooCloseToSource(NqdotError):

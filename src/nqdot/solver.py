@@ -13,19 +13,24 @@ and the bulk value kappa*, which no finite geometry binds deeper than.
 Branches within 1e-9 of it at the root join the level.  A root that misses
 |lambda - 1| <= LAMBDA_TOL raises NonConvergedEigensolve.  Binding energy
 follows from the root: E_b = (hbar^2/2m_n) kappa^2.
+
+Sphere grids are invariant under the 48 signed axis permutations (O_h) and
+K depends only on distance, so K(kappa) is solved one irrep block at a time
+(_OhBlocks); a level of a d-dimensional irrep is d-fold degenerate, and the
+irrep names it (A1g s, T1u p or f, Eg/T2g d, A2u/T2u f).
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
-import warnings
 from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 from scipy.linalg import eigh
-from scipy.sparse.linalg import lobpcg
 
 from .constants import HBAR2_OVER_2MN
 from .errors import (
@@ -37,14 +42,10 @@ from .geometry import CYLINDER, SLAB, SPHERE, Grid
 from .kernel import assemble_kernel, kernel_block
 from .nuclides import CrystalComposition, NuclideTable, default_table
 
-DENSE_CUTOFF = 1500  # below this, full diagonalization beats Lanczos
 ENERGY_FLOOR_UEV = 1e-4  # states shallower than this are not searched for
 KAPPA_REL_TOL = 1e-9  # bracket width that ends a root: |1 - lambda| lands near 1e-10
 LAMBDA_TOL = 5e-7
 DEGENERATE_BRANCH_TOL = 1e-9  # branches this close at a root are one level
-DEGENERACY_REL_TOL = 1e-2
-
-_ELL_LETTER = "spdfg"
 
 
 @dataclass(frozen=True)
@@ -106,83 +107,182 @@ class BoundState:
 
 
 class KernelFactory:
-    """Reusable K(kappa) assembler; caches pair distances for aperiodic grids.
-
-    The aperiodic path writes into one shared buffer: each call invalidates
-    the previously returned matrix.
-    """
+    """K(kappa) over one grid and Bloch vector.  Each call assembles a new
+    matrix, so a matrix a caller holds is never overwritten."""
 
     def __init__(self, grid: Grid, bloch_k=None):
         self.grid = grid
         self.bloch_k = None if bloch_k is None else np.asarray(bloch_k, float)
-        self._dist = None
-        if not grid.periodic_axes:
-            d = grid.points[:, None, :] - grid.points[None, :, :]
-            dist = np.sqrt((d * d).sum(axis=-1))
-            np.fill_diagonal(dist, np.inf)
-            self._dist = dist
-            self._buf = np.empty_like(dist)
 
     def __call__(self, kappa: float) -> np.ndarray:
-        if self._dist is not None:
-            np.multiply(self._dist, -kappa, out=self._buf)
-            np.exp(self._buf, out=self._buf)
-            self._buf /= self._dist
-            return self._buf
         return assemble_kernel(self.grid, kappa, self.bloch_k)
 
 
-_BLOCK_SEED = 20251204  # fixed: identical inputs give identical level tables
+def _fix_phase(vecs: np.ndarray) -> np.ndarray:
+    """Deterministic gauge for a state or the columns of a multiplet: the
+    largest-|.| component of the first column made real and positive, the
+    same factor on every column so that partners keep their relations."""
+    lead = vecs.reshape(len(vecs), -1)[:, 0]
+    pivot = lead[int(np.argmax(np.abs(lead)))]
+    vecs = vecs * (np.conj(pivot) / abs(pivot))
+    if np.iscomplexobj(vecs) and np.abs(vecs.imag).max() <= 1e-10 * np.abs(vecs).max():
+        vecs = vecs.real.copy()
+    return vecs
+
+
+# ---------------------------------------------------------------------------
+# cubic (O_h) symmetry blocks
+# ---------------------------------------------------------------------------
+
+# lowest angular momentum holding each irrep: the letter of its levels
+_IRREP_ELL = dict(A1g=0, T1u=1, Eg=2, T2g=2, A2u=3, T2u=3, T1g=4, Eu=5, A2g=6, A1u=9)
+_ELL_LETTER = "spdfghiklm"
+
+
+@functools.lru_cache(maxsize=None)
+def _oh_group() -> tuple:
+    """The 48 signed axis permutations and the 10 real orthogonal O_h irreps.
+
+    Element g maps r to M_g r, (M_g r)_i = signs[g, i] r[perms[g, i]]; the
+    identity comes first.  Returns (perms, signs, [(name, D)]) with D of
+    shape (48, d, d) and D(gh) = D(g) D(h).  D follows from how basis
+    functions move, (g f_a)(r) = f_a(M_g^T r) = sum_b f_b(r) D_ba(g):
+    x, y, z give D = M_g (T1u), the quadratic forms of Eg and T2g give
+    D_ba = <Q_b, M_g Q_a M_g^T>, A2g is the sign of the axis permutation,
+    and each u irrep is its g partner times det M_g.
+    """
+    perms = np.repeat(list(itertools.permutations(range(3))), 8, axis=0)
+    signs = np.array(list(itertools.product((1.0, -1.0), repeat=3)) * 6)
+    mats = np.zeros((48, 3, 3))
+    mats[np.arange(48)[:, None], np.arange(3), perms] = signs
+    det = np.rint(np.linalg.det(mats))[:, None, None]
+
+    def quadratic(forms):
+        moved = np.einsum("gij,ajk,glk->gail", mats, forms, mats)
+        return np.einsum("bil,gail->gba", forms, moved)
+
+    e_forms = np.array([np.diag([-1, -1, 2]) / 6**0.5, np.diag([1, -1, 0]) / 2**0.5])
+    t_forms = np.zeros((3, 3, 3))  # yz, zx, xy: |Levi-Civita| / sqrt 2
+    t_forms[tuple(np.array(list(itertools.permutations(range(3)))).T)] = 2**-0.5
+    gerade = {
+        "A1g": np.ones((48, 1, 1)),
+        "A2g": np.rint(np.linalg.det(np.abs(mats)))[:, None, None],
+        "Eg": quadratic(e_forms),
+        "T1g": mats * det,
+        "T2g": quadratic(t_forms),
+    }
+    irreps = []
+    for name, rep in gerade.items():
+        irreps += [(name, rep), (name[:-1] + "u", rep * det)]
+    return perms, signs, irreps
+
+
+class _OhBlocks:
+    """K(kappa) of an O_h-invariant aperiodic grid, one irrep at a time.
+
+    K commutes with the 48 site permutations, so the row-1 subspace of each
+    irrep, the image of P_11 = (d/48) sum_g D_11(g) g, is K-invariant and
+    holds every eigenvalue of that irrep once (the full space holds it d
+    times).  On the orbit of a representative site k it is spanned by
+    w_b = P_1b e_k (b = 1..d), at most 48 nonzeros each, whose Gram matrix
+    is (d/48) times the sum of D(g) over the stabilizer of k; the frame
+    orthonormalizes them.  Between orbits of representatives j and k,
+    w_b(j) . K w_c(k) = (d/48) sum_g D_bc(g) K[j, g k], so each block needs
+    kernel rows at the representatives only, one site per orbit.
+    """
+
+    def __init__(self, grid: Grid, site_perms: np.ndarray):
+        self.grid = grid
+        self.reps = np.unique(site_perms.min(axis=0))
+        self.images = site_perms[:, self.reps].T  # (orbits, 48): site of g rep
+        stabilizer = (self.images == self.reps[:, None]).astype(float)
+        irreps = _oh_group()[2]
+        # (48, 48): each irrep's (d/48) D_bc(g), one column per (irrep, b, c)
+        self.coef = np.hstack(
+            [rep.shape[1] / 48 * rep.reshape(48, -1) for _, rep in irreps]
+        )
+        self.irreps = []  # (name, D, frame (orbits, d, d), flat columns that exist)
+        for name, rep in irreps:
+            d = rep.shape[1]
+            w, v = np.linalg.eigh((d / 48) * np.einsum("og,gab->oab", stabilizer, rep))
+            exists = w > 1e-9  # nonzero eigenvalues are d |stabilizer| / 48 >= 1/48
+            frame = v / np.sqrt(np.where(exists, w, np.inf))[:, None, :]
+            self.irreps.append((name, rep, frame, np.flatnonzero(exists)))
+
+    @classmethod
+    def of(cls, grid: Grid) -> Optional["_OhBlocks"]:
+        """The plan for grid, or None unless the grid is aperiodic and each
+        signed axis permutation maps its sites exactly onto its sites."""
+        if grid.periodic_axes:
+            return None
+        pts = grid.points
+        order = np.lexsort(pts.T)
+        site_perms = np.empty((48, len(pts)), dtype=np.intp)
+        for g, (perm, signs) in enumerate(zip(*_oh_group()[:2])):
+            moved = pts[:, perm] * signs
+            moved_order = np.lexsort(moved.T)
+            if not np.array_equal(moved[moved_order], pts[order]):
+                return None
+            site_perms[g, moved_order] = order  # g moves site i to site_perms[g, i]
+        return cls(grid, site_perms)
+
+    def spectrum(self, kappa: float, m: int) -> tuple:
+        """Top m eigenvalues of K(kappa), a level of a d-dimensional irrep
+        counted d times, with its d partner states (columns; row a of the
+        irrep in column a) and irrep names."""
+        n_orb = len(self.reps)
+        rows = kernel_block(self.grid.points[self.reps], self.grid, kappa)
+        # folded[j k, (irrep, b, c)] = (d/48) sum_g D_bc(g) K[rep_j, g rep_k]
+        folded = rows[:, self.images].reshape(n_orb * n_orb, 48) @ self.coef
+        col, found = 0, []  # found: (value, irrep index, block eigenvector)
+        for i, (_name, rep, frame, kept) in enumerate(self.irreps):
+            d, n = rep.shape[1], len(kept)
+            r = folded[:, col : col + d * d].reshape(n_orb, n_orb, d, d)
+            col += d * d
+            k = min(n, -(-m // d))  # more levels of it cannot reach the top m
+            if k:
+                h = frame.transpose(0, 2, 1)[:, None] @ r @ frame[None]
+                h = h.transpose(0, 2, 1, 3).reshape(n_orb * d, -1)[np.ix_(kept, kept)]
+                vals, vecs = eigh(0.5 * (h + h.T), subset_by_index=[n - k, n - 1])
+                found += [(v, i, vecs[:, j]) for j, v in enumerate(vals)]
+        values, states, names = [], [], []
+        for v, i, x in sorted(found, key=lambda level: -level[0])[:m]:
+            name, rep, frame, kept = self.irreps[i]
+            d = rep.shape[1]
+            coords = np.zeros(n_orb * d)
+            coords[kept] = x
+            # y: coefficients on the w_b; row a at site g rep is (d/48) D(g) y
+            y = np.einsum("oba,oa->ob", frame, coords.reshape(n_orb, d))
+            at = (d / 48) * np.einsum("gab,ob->oga", rep, y).reshape(-1, d)
+            psi = [np.bincount(self.images.ravel(), a, rows.shape[1]) for a in at.T]
+            states.append(_fix_phase(np.column_stack(psi)))
+            values += [v] * d
+            names += [name] * d
+        return np.array(values[:m]), np.hstack(states)[:, :m], names[:m], None
 
 
 class TopEigenSolver:
-    """Deterministic top-m eigenpairs of a Hermitian matrix.
+    """Top-m eigenpairs of K(kappa) on one grid, one call per kappa: by O_h
+    irrep blocks on grids the 48 signed axis permutations map onto
+    themselves (every build_grid sphere), else by dense eigh.  Returns the
+    values, descending, their gauge-fixed unit states as columns, each
+    one's irrep name (None off the blocks) and, from dense eigh only, the
+    kernel times the states (the blocks hold no N x N matrix)."""
 
-    Small problems are diagonalized densely.  Large ones use block LOBPCG
-    with a fixed-seed starting block (warm-started across nearby kappa
-    evaluations): a single-vector Lanczos cannot reliably resolve the
-    exactly degenerate multiplets these grids produce, a block iteration
-    wider than any multiplicity can.
-    """
-
-    def __init__(self, m: int):
+    def __init__(self, grid: Grid, m: int, bloch_k=None):
         self.m = m
-        self.block = max(m + 5, 8)
-        self._warm = None
+        self.blocks = _OhBlocks.of(grid) if bloch_k is None else None
+        self.kernel = KernelFactory(grid, bloch_k) if self.blocks is None else None
 
-    def __call__(self, mat: np.ndarray, m: Optional[int] = None, want_vectors=False):
+    def __call__(self, kappa: float) -> tuple:
+        if self.blocks is not None:
+            return self.blocks.spectrum(kappa, self.m)
+        mat = self.kernel(kappa)
         n = mat.shape[0]
-        m = self.m if m is None else min(m, self.m)
-        if n < DENSE_CUTOFF or self.block * 5 >= n:
-            if want_vectors:
-                vals, vecs = eigh(mat)
-                return vals[::-1][:m], vecs[:, ::-1][:, :m]
-            vals = eigh(mat, eigvals_only=True)
-            return vals[::-1][:m], None
-
-        if self._warm is not None and self._warm.shape == (n, self.block):
-            x0 = self._warm
-        else:
-            rng = np.random.default_rng(_BLOCK_SEED)
-            x0 = rng.standard_normal((n, self.block))
-        scale = float(np.abs(mat).max()) or 1.0
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            vals, vecs = lobpcg(
-                mat, x0, tol=1e-9 * scale * math.sqrt(n), maxiter=400, largest=True
-            )
-        order = np.argsort(vals)[::-1]
-        vals, vecs = vals[order], vecs[:, order]
-        resid = np.linalg.norm(mat @ vecs[:, :m] - vecs[:, :m] * vals[:m], axis=0)
-        if np.any(resid > 1e-6 * scale):
-            raise NonConvergedEigensolve(
-                f"block eigensolve residual {resid.max():.3e} above "
-                f"{1e-6 * scale:.3e} after 400 iterations"
-            )
-        self._warm = np.ascontiguousarray(vecs)
-        if want_vectors:
-            return vals[:m], vecs[:, :m]
-        return vals[:m], None
+        m = min(self.m, n)
+        vals, vecs = eigh(mat, subset_by_index=[n - m, n - 1])
+        vecs = np.column_stack([_fix_phase(v) for v in vecs[:, ::-1].T])
+        return vals[::-1], vecs, [None] * m, mat @ vecs
 
 
 def kappa_floor() -> float:
@@ -191,38 +291,27 @@ def kappa_floor() -> float:
 
 
 class _BranchValues:
-    """The m largest eigenvalues of -c K(kappa), descending, memoized by
-    kappa so that no kappa is diagonalized twice in one solve."""
+    """The m largest eigenvalues of -c K(kappa), descending.  Each kappa's
+    spectrum, states included, is memoized: no kappa is diagonalized twice
+    in one solve, and the states at a root cost no further eigen call."""
 
     def __init__(self, grid: Grid, coupling: Coupling, m: int, bloch_k=None):
-        self.kernel = KernelFactory(grid, bloch_k)
-        self.eigen = TopEigenSolver(m)
+        self.eigen = TopEigenSolver(grid, m, bloch_k)
         self.strength = -coupling.c
         self._memo = {}
 
-    def __call__(self, kappa: float) -> np.ndarray:
+    def spectrum(self, kappa: float) -> tuple:
         kappa = float(kappa)
         if kappa not in self._memo:
-            vals, _ = self.eigen(self.kernel(kappa))
-            self._memo[kappa] = self.strength * vals
+            self._memo[kappa] = self.eigen(kappa)
         return self._memo[kappa]
+
+    def __call__(self, kappa: float) -> np.ndarray:
+        return self.strength * self.spectrum(kappa)[0]
 
 
 def _branch_excess(kappa: float, branches: _BranchValues, b: int) -> float:
     return branches(kappa)[b] - 1.0
-
-
-def _fix_phase(vec: np.ndarray) -> np.ndarray:
-    """Deterministic gauge: largest-|.| component made real and positive."""
-    i = int(np.argmax(np.abs(vec)))
-    pivot = vec[i]
-    if np.iscomplexobj(vec):
-        vec = vec * np.conj(pivot) / abs(pivot)
-        if np.max(np.abs(vec.imag)) <= 1e-10 * np.max(np.abs(vec.real)):
-            vec = vec.real.copy()
-    elif pivot < 0:
-        vec = -vec
-    return vec
 
 
 def solve_bound_states(
@@ -238,6 +327,10 @@ def solve_bound_states(
     empty list when no branch is above 1 at lo (that is the no-bound-state
     answer, not an error).  Raises NonConvergedEigensolve when a counted
     branch has no root below hi or its root does not converge.
+
+    Each level is one degeneracy group.  On O_h-invariant grids its members
+    are its irrep's partner functions (p_x, p_y, p_z for a p level) and its
+    label comes from the irrep (_level_label); other grids label sb0, sb1...
     """
     if coupling.c >= 0:
         raise ValueError("solve_bound_states requires c < 0")
@@ -251,7 +344,7 @@ def solve_bound_states(
     branches = _BranchValues(grid, coupling, max_states, bloch_k)
     n_bound = int(np.count_nonzero(branches(k_lo) > 1.0))
 
-    levels = []  # (kappa_root, [branch indices])
+    levels = []  # (kappa_root, [branch indices]), deepest first
     b = 0
     while b < n_bound:
         if branches(k_hi)[b] >= 1.0:
@@ -260,8 +353,8 @@ def solve_bound_states(
                 "its root lies outside the bracket"
             )
         # branches goes in through args, not a closure: brentq wraps f in a
-        # self-referencing closure, so whatever f closes over (here two N x N
-        # kernel buffers) would outlive the solve until the next full gc
+        # self-referencing closure, so whatever f closes over would outlive
+        # the solve until the next full gc
         kappa, info = brentq(
             _branch_excess,
             k_lo,
@@ -283,153 +376,58 @@ def solve_bound_states(
         ]
         levels.append((kappa, members))
         b = members[-1] + 1
+    levels.sort(key=lambda level: -level[0])
 
     states = []
-    a0 = grid.spacing
-    for kappa_root, members in levels:
-        kernel_at_root = branches.kernel(kappa_root)
-        _vals, vecs = branches.eigen(
-            kernel_at_root, members[-1] + 1, want_vectors=True
-        )
-        for b in members:
-            unit = vecs[:, b] / np.linalg.norm(vecs[:, b])
-            res = float(
-                np.linalg.norm(unit + coupling.c * (kernel_at_root @ unit))
-            )
-            vec = _fix_phase(unit) / a0**1.5
+    named = []  # (irrep, ell) of each level so far, for radial ranks
+    for group, (kappa_root, members) in enumerate(levels):
+        _values, vecs, irreps, k_vecs = branches.spectrum(kappa_root)
+        units = vecs[:, members]
+        if k_vecs is None:
+            k_units = _kernel_apply(grid, kappa_root, bloch_k, units)
+        else:
+            k_units = k_vecs[:, members]
+        residuals = np.linalg.norm(units + coupling.c * k_units, axis=0)
+        label = _level_label(irreps[members[0]], units[:, 0], grid, group, named)
+        for j in range(len(members)):
             states.append(
                 BoundState(
                     kappa=kappa_root,
                     e_b=HBAR2_OVER_2MN * kappa_root**2,
-                    psi=vec,
-                    level_label="",
-                    degeneracy_group=-1,
-                    residual=res,
+                    psi=units[:, j] / grid.spacing**1.5,
+                    level_label=label,
+                    degeneracy_group=group,
+                    residual=float(residuals[j]),
                     grid_signature=grid.signature(),
                     bloch_k=None if bloch_k is None else tuple(np.asarray(bloch_k, float)),
                 )
             )
-
-    states.sort(key=lambda s: -s.e_b)
-    return _assign_groups_and_labels(states, grid)
+    return states
 
 
-# ---------------------------------------------------------------------------
-# degeneracy groups and level labels
-# ---------------------------------------------------------------------------
+def _level_label(irrep, row1: np.ndarray, grid: Grid, group: int, named: list) -> str:
+    """n + letter of an irrep level, n its rank among the deeper levels of
+    the same irrep and letter; sb<group> without an irrep.
 
-
-def _harmonic_basis(unit: np.ndarray) -> list:
-    """Real direction harmonics per angular momentum, ell = 0..3."""
-    x, y, z = unit[:, 0], unit[:, 1], unit[:, 2]
-    one = np.ones_like(x)
-    return [
-        [one],
-        [x, y, z],
-        [x * y, y * z, z * x, x * x - y * y, (2 * z * z - x * x - y * y) / math.sqrt(3)],
-        [
-            z * (2 * z * z - 3 * x * x - 3 * y * y),
-            x * (4 * z * z - x * x - y * y),
-            y * (4 * z * z - x * x - y * y),
-            z * (x * x - y * y),
-            x * y * z,
-            x * (x * x - 3 * y * y),
-            y * (3 * x * x - y * y),
-        ],
-    ]
-
-
-def classify_angular(state_psi: np.ndarray, grid: Grid) -> tuple:
-    """(dominant ell, radial node count) from shell-wise harmonic analysis."""
-    pts = grid.points
-    r = np.linalg.norm(pts, axis=1)
-    a0 = grid.spacing
-    shells = np.rint(r / a0).astype(int)
-    psi = state_psi.real if np.iscomplexobj(state_psi) else state_psi
-
-    n_ell = 4
-    power = np.zeros(n_ell)
-    profiles = {}  # (ell, m) -> list of (shell, coefficient)
-    for s in np.unique(shells):
-        sel = shells == s
-        v = psi[sel]
-        if s == 0 and np.count_nonzero(sel) == 1:
-            power[0] += float(v[0] ** 2)
-            profiles.setdefault((0, 0), []).append((s, float(v[0])))
-            continue
-        unit = pts[sel] / r[sel, None]
-        basis = _harmonic_basis(unit)
-        cols = [f for fs in basis for f in fs]
-        B = np.column_stack(cols)
-        coef, *_ = np.linalg.lstsq(B, v, rcond=None)
-        i = 0
-        for ell, fs in enumerate(basis):
-            for m, f in enumerate(fs):
-                comp = coef[i] * f
-                power[ell] += float(comp @ comp)
-                profiles.setdefault((ell, m), []).append(
-                    (s, float(coef[i] * np.sqrt(f @ f)))
-                )
-                i += 1
-    ell = int(np.argmax(power))
-
-    # radial profile of the strongest (ell, m) channel -> node count
-    best_m, best_w = 0, -1.0
-    for (l, m), prof in profiles.items():
-        if l != ell:
-            continue
-        w = sum(c * c for _, c in prof)
-        if w > best_w:
-            best_w, best_m = w, m
-    prof = sorted(profiles[(ell, best_m)])
-    vals = np.array([c for _, c in prof])
-    scale = np.max(np.abs(vals))
-    vals = vals[np.abs(vals) > 0.05 * scale]
-    nodes = int(np.count_nonzero(np.diff(np.signbit(vals))))
-    return ell, nodes
-
-
-def _assign_groups_and_labels(states: list, grid: Grid) -> list:
-    if not states:
-        return states
-    spherical = grid.spec is not None and grid.spec.shape == SPHERE
-    out = []
-    group = -1
-    ref = None
-    for s in states:
-        if ref is None or abs(s.e_b - ref) / ref >= DEGENERACY_REL_TOL:
-            group += 1
-            ref = s.e_b
-        out.append((group, s))
-
-    labels = {}
-    if spherical:
-        for g in sorted({g for g, _ in out}):
-            members = [s for gg, s in out if gg == g]
-            votes = [classify_angular(s.psi, grid) for s in members]
-            ells = [v[0] for v in votes]
-            ell = max(set(ells), key=ells.count)
-            nodes = min(v[1] for v in votes if v[0] == ell)
-            labels[g] = f"{nodes + 1}{_ELL_LETTER[ell]}"
-    else:
-        for g in sorted({g for g, _ in out}):
-            labels[g] = f"sb{g}"
-
-    result = []
-    for g, s in out:
-        result.append(
-            BoundState(
-                kappa=s.kappa,
-                e_b=s.e_b,
-                psi=s.psi,
-                level_label=labels[g],
-                degeneracy_group=g,
-                residual=s.residual,
-                grid_signature=s.grid_signature,
-                bloch_k=s.bloch_k,
-            )
-        )
-    return result
+    T1u holds l = 1 and l = 3 (x and x(5x^2 - 3r^2) in row 1): a
+    least-squares fit of the row-1 state to both on every shell of |r|
+    decides which carries more power.
+    """
+    if irrep is None:
+        return f"sb{group}"
+    ell = _IRREP_ELL[irrep]
+    if irrep == "T1u":
+        r = np.linalg.norm(grid.points, axis=1)
+        shells = np.rint(r / grid.spacing).astype(int)
+        power = np.zeros(2)
+        for s in np.unique(shells[shells > 0]):
+            ux = grid.points[shells == s, 0] / r[shells == s]
+            basis = np.column_stack([ux, ux * (5.0 * ux * ux - 3.0)])
+            coef = np.linalg.lstsq(basis, row1[shells == s], rcond=None)[0]
+            power += coef**2 * np.sum(basis**2, axis=0)
+        ell = 3 if power[1] > power[0] else 1
+    named.append((irrep, ell))
+    return f"{named.count((irrep, ell))}{_ELL_LETTER[ell]}"
 
 
 def has_bound_state(grid: Grid, coupling: Coupling, bloch_k=None) -> bool:
@@ -588,24 +586,7 @@ def lifetime_with_leakage(
 # ---------------------------------------------------------------------------
 
 
-class _BoundedMemo:
-    """Tiny FIFO memo keyed by object identity (keeps the keys alive)."""
-
-    def __init__(self, cap: int = 16):
-        self.cap = cap
-        self._store = {}
-
-    def get(self, key):
-        entry = self._store.get(key)
-        return None if entry is None else entry[1]
-
-    def put(self, key, anchor, value):
-        if len(self._store) >= self.cap:
-            self._store.pop(next(iter(self._store)))
-        self._store[key] = (anchor, value)
-
-
-_scale_memo = _BoundedMemo(32)
+_scale_memo = {}  # (state id, grid, c) -> (state, (s, rel)); FIFO of 32
 
 
 def reconstruction_scale(
@@ -617,13 +598,9 @@ def reconstruction_scale(
     5 percent consistency gate.
     """
     key = (id(state), grid.signature(), coupling.c)
-    hit = _scale_memo.get(key)
-    if hit is not None:
-        return hit
-    K = assemble_kernel(
-        grid, state.kappa, None if state.bloch_k is None else state.bloch_k
-    )
-    f = K @ state.psi
+    if key in _scale_memo:
+        return _scale_memo[key][1]
+    f = _kernel_apply(grid, state.kappa, state.bloch_k, state.psi)
     denom = np.real(np.vdot(f, f))
     s = float(np.real(np.vdot(f, state.psi)) / denom)
     rel = abs(s - (-coupling.c)) / abs(coupling.c)
@@ -632,29 +609,51 @@ def reconstruction_scale(
             f"site-matching scale deviates from |c| by {rel:.2%}; "
             "state and coupling are inconsistent"
         )
-    _scale_memo.put(key, state, (s, rel))
+    if len(_scale_memo) >= 32:
+        _scale_memo.pop(next(iter(_scale_memo)))
+    _scale_memo[key] = (state, (s, rel))
     return s, rel
 
 
-def _field_at(points, state, grid, coupling, scale, chunk=512):
-    """Reconstructed field at arbitrary points, evaluated in bounded-memory
-    chunks (the kernel block is dense in targets x sources)."""
-    points = np.asarray(points, float)
-    bloch = None if state.bloch_k is None else state.bloch_k
+def _kernel_apply(grid: Grid, kappa: float, bloch_k, vecs, targets=None, chunk=512):
+    """K(kappa) @ vecs, one block of target rows at a time, so no N x N
+    matrix is held.  Targets default to the grid sites, each with its L = 0
+    self term masked as in assemble_kernel."""
+    on_sites = targets is None
+    targets = grid.points if on_sites else np.asarray(targets, float)
     parts = []
-    for start in range(0, len(points), chunk):
-        block = kernel_block(points[start : start + chunk], grid, state.kappa, bloch)
-        parts.append(block @ state.psi)
-    return scale * np.concatenate(parts)
+    for start in range(0, len(targets), chunk):
+        rows = targets[start : start + chunk]
+        mask = np.eye(len(rows), grid.n_points, start, dtype=bool) if on_sites else None
+        parts.append(kernel_block(rows, grid, kappa, bloch_k, self_mask=mask) @ vecs)
+    return np.concatenate(parts)
+
+
+def _field_at(points, state, grid, coupling, scale):
+    """Reconstructed field at arbitrary points, in bounded-memory chunks."""
+    return scale * _kernel_apply(grid, state.kappa, state.bloch_k, state.psi, points)
 
 
 def _min_source_distance(points: np.ndarray, grid: Grid, chunk=512) -> float:
+    """Smallest distance from the points to any source or periodic image.
+    The Gram expansion (aperiodic axes) plus minimum images (periodic axes)
+    picks each point's nearest source; that distance is then taken directly,
+    so Gram rounding (~1e-16 |r|^2) only decides near-ties."""
+    periodic = grid.periodic_axes
+    free = [a for a in range(3) if a not in dict(periodic)]
+    src = grid.points
     best = math.inf
     for start in range(0, len(points), chunk):
-        d = points[start : start + chunk, None, :] - grid.points[None, :, :]
-        for axis, period in grid.periodic_axes:
-            d[..., axis] -= period * np.round(d[..., axis] / period)
-        best = min(best, float(np.sqrt((d * d).sum(axis=-1)).min()))
+        pts = points[start : start + chunk]
+        # |t|^2 is the same along a row, so the argmin does not need it
+        r2 = np.sum(src[:, free] ** 2, axis=1) - 2.0 * (pts[:, free] @ src[:, free].T)
+        for axis, period in periodic:
+            d = pts[:, axis, None] - src[:, axis]
+            r2 += (d - period * np.round(d / period)) ** 2
+        d = pts - src[np.argmin(r2, axis=1)]
+        for axis, period in periodic:
+            d[:, axis] -= period * np.round(d[:, axis] / period)
+        best = min(best, float(np.sqrt(np.min(np.sum(d * d, axis=1)))))
     return best
 
 

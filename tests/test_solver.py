@@ -8,12 +8,15 @@ from scipy.special import spherical_jn, spherical_kn
 
 from nqdot.constants import HBAR2_OVER_2MN
 from nqdot.errors import EvalTooCloseToSource, NonConvergedEigensolve
-from nqdot.geometry import GeometrySpec, build_grid
+from nqdot.geometry import GeometrySpec, Grid, build_grid
+from nqdot.kernel import assemble_kernel
 from nqdot.nuclides import CrystalComposition, NuclideTable, ScatteringEntry
 from nqdot.solver import (
     BoundState,
     Coupling,
     _BranchValues,
+    _min_source_distance,
+    _oh_group,
     exterior_weight,
     finite_lifetime,
     has_bound_state,
@@ -302,6 +305,116 @@ def test_r41_25_full_structure_after_lobpcg_stall(lih, lih_bulk):
     labels = spherical_well_state_labels(lih_bulk.e_b_star, 41.25)
     assert labels == ["1s"] + ["1p"] * 3 + ["1d"] * 5 + ["2s"]
     assert [s.level_label for s in states] == labels
+
+
+def test_r55_f_and_2p_labels(lih, lih_bulk):
+    """R = 55 nm binds the 1f shell (A2u + T1u + T2u) and the 2p triple:
+    its T1u members must be told apart as f and p.  The d and f shells
+    are compared by label only, as in criterion 4a."""
+    grid = build_grid(GeometrySpec.sphere(55.0, 10))
+    coupling = Coupling.from_composition(lih, grid)
+    states = solve_bound_states(grid, coupling, max_states=24)
+    labels = spherical_well_state_labels(lih_bulk.e_b_star, 55.0)
+    assert labels == (
+        ["1s"] + ["1p"] * 3 + ["1d"] * 5 + ["2s"] + ["1f"] * 7 + ["2p"] * 3
+    )
+    assert [s.level_label for s in states] == labels
+    assert len(states) < 24
+
+
+# ---------------------------------------------------------------------------
+# cubic symmetry blocks
+# ---------------------------------------------------------------------------
+
+
+def _oh_matrices():
+    perms, signs, _irreps = _oh_group()
+    mats = np.zeros((48, 3, 3))
+    mats[np.arange(48)[:, None], np.arange(3), perms] = signs
+    return mats
+
+
+def test_oh_irreps_are_orthogonal_representations():
+    mats = _oh_matrices()
+    product = {}
+    for g in range(48):
+        for h in range(48):
+            gh = mats[g] @ mats[h]
+            product[g, h] = next(k for k in range(48) if np.array_equal(mats[k], gh))
+    chars = []
+    irreps = _oh_group()[2]
+    for _name, rep in irreps:
+        for (g, h), gh in product.items():
+            assert np.allclose(rep[g] @ rep[h], rep[gh], atol=1e-14)
+        chars.append(np.trace(rep, axis1=1, axis2=2))
+    chars = np.array(chars)
+    assert sorted(rep.shape[1] for _n, rep in irreps) == [1, 1, 1, 1, 2, 2, 3, 3, 3, 3]
+    assert np.allclose(chars @ chars.T, 48.0 * np.eye(10), atol=1e-12)
+
+
+def test_symmetry_blocks_match_dense_reference(lih):
+    """Top branches of the O_h block solve against dense eigh of the full
+    kernel at five kappa from the floor to kappa*, and every returned state
+    against the dense kernel and the group action: each multiplet's
+    partners carry one of the irreps' matrices, psi_b . g psi_a = D_ba(g)."""
+    grid = build_grid(GeometrySpec.sphere(40.0, 6))
+    coupling = Coupling.from_composition(lih, grid)
+    m = 16
+    branches = _BranchValues(grid, coupling, m)
+    assert branches.eigen.blocks is not None
+    for kappa in np.geomspace(kappa_floor(), coupling.kappa_star, 5):
+        dense = -coupling.c * np.linalg.eigvalsh(assemble_kernel(grid, kappa))[::-1][:m]
+        assert np.allclose(branches(kappa), dense, rtol=1e-12, atol=0)
+
+    states = solve_bound_states(grid, coupling, max_states=m)
+    assert [s.level_label for s in states][:4] == ["1s", "1p", "1p", "1p"]
+    a0 = grid.spacing
+    sites = [tuple(p) for p in np.rint(grid.points / a0).astype(int)]
+    index = {site: i for i, site in enumerate(sites)}
+    moves = [
+        np.array([index[tuple(mat.astype(int) @ site)] for site in sites])
+        for mat in _oh_matrices()
+    ]
+    irreps = _oh_group()[2]
+    for g in sorted({s.degeneracy_group for s in states}):
+        members = [s for s in states if s.degeneracy_group == g]
+        kernel = assemble_kernel(grid, members[0].kappa)
+        psi = np.column_stack([s.psi for s in members]) * a0**1.5
+        assert np.allclose(psi.T @ psi, np.eye(len(members)), atol=1e-12)
+        for s, v in zip(members, psi.T):
+            assert s.residual <= 1e-9
+            assert np.linalg.norm(v + coupling.c * (kernel @ v)) <= 1e-9
+        rep = []
+        for move in moves:
+            moved = np.empty_like(psi)
+            moved[move] = psi  # (g psi)(g r) = psi(r)
+            rep.append(psi.T @ moved)
+            assert np.max(np.abs(moved - psi @ rep[-1])) <= 1e-10  # partners only
+        rep = np.array(rep)
+        assert any(
+            d.shape == rep.shape and np.allclose(rep, d, atol=1e-10) for _n, d in irreps
+        )
+
+
+def test_min_source_distance_matches_brute_force():
+    rng = np.random.default_rng(3)
+    sphere = build_grid(GeometrySpec.sphere(30.0, 8))
+    wire = build_grid(GeometrySpec.cylinder(25.0, 10))
+    sources = rng.uniform(-20.0, 20.0, (60, 3))
+    sources[:, 2] = rng.uniform(0.0, 2.5, 60)  # one period, sources at many heights
+    layered = Grid(points=sources, spacing=2.5, periodic_axes=((2, 2.5),))
+    for grid in (sphere, wire, layered):
+        points = rng.uniform(-40.0, 40.0, (700, 3))
+        points[:50] = grid.points[rng.integers(0, grid.n_points, 50)] + rng.normal(
+            0.0, 0.05 * grid.spacing, (50, 3)
+        )
+        d = points[:, None, :] - grid.points[None, :, :]
+        for axis, period in grid.periodic_axes:
+            d[..., axis] -= period * np.round(d[..., axis] / period)
+        brute = np.sqrt((d * d).sum(axis=-1)).min(axis=1)
+        fast = [_min_source_distance(p[None, :], grid) for p in points]
+        assert fast == pytest.approx(brute, rel=1e-12)
+        assert _min_source_distance(points, grid) == pytest.approx(brute.min(), rel=1e-12)
 
 
 def test_positive_coupling_rejected(lih):
