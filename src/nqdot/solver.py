@@ -39,7 +39,7 @@ from .errors import (
     ZeroAbsorption,
 )
 from .geometry import CYLINDER, SLAB, SPHERE, Grid
-from .kernel import assemble_kernel, kernel_block
+from .kernel import DisplacementPlan, assemble_kernel, kernel_block
 from .nuclides import CrystalComposition, NuclideTable, default_table
 
 ENERGY_FLOOR_UEV = 1e-4  # states shallower than this are not searched for
@@ -108,14 +108,19 @@ class BoundState:
 
 class KernelFactory:
     """K(kappa) over one grid and Bloch vector.  Each call assembles a new
-    matrix, so a matrix a caller holds is never overwritten."""
+    matrix, so a matrix a caller holds is never overwritten.  A periodic
+    grid's displacement classes (DisplacementPlan) are found once, here,
+    and every call evaluates the kernel once per class."""
 
     def __init__(self, grid: Grid, bloch_k=None):
         self.grid = grid
         self.bloch_k = None if bloch_k is None else np.asarray(bloch_k, float)
+        self.plan = DisplacementPlan(grid) if grid.periodic_axes else None
 
     def __call__(self, kappa: float) -> np.ndarray:
-        return assemble_kernel(self.grid, kappa, self.bloch_k)
+        if self.plan is None:
+            return assemble_kernel(self.grid, kappa, self.bloch_k)
+        return self.plan.kernel(kappa, self.bloch_k)
 
 
 def _fix_phase(vecs: np.ndarray) -> np.ndarray:
@@ -137,6 +142,28 @@ def _fix_phase(vecs: np.ndarray) -> np.ndarray:
 # lowest angular momentum holding each irrep: the letter of its levels
 _IRREP_ELL = dict(A1g=0, T1u=1, Eg=2, T2g=2, A2u=3, T2u=3, T1g=4, Eu=5, A2g=6, A1u=9)
 _ELL_LETTER = "spdfghiklm"
+
+
+def _z_special(u: np.ndarray, power: int) -> np.ndarray:
+    return 2.0 * u[:, 2] ** power - u[:, 0] ** power - u[:, 1] ** power
+
+
+# Irreps that hold two angular momenta among the levels a sphere binds:
+# (ell, row-1 harmonic of the unit vector u) for the lowest ell and the next.
+# The ell = 3 and 4 ones are the row-1 projections of cubic monomials, less
+# their lower-ell parts, so each pair is orthogonal on the sphere.
+_SHELL_FITS = {
+    "A1g": ((0, lambda u: np.ones(len(u))), (4, lambda u: np.sum(u**4, axis=1) - 0.6)),
+    "T1u": ((1, lambda u: u[:, 0]), (3, lambda u: u[:, 0] * (5.0 * u[:, 0] ** 2 - 3.0))),
+    "Eg": (
+        (2, lambda u: _z_special(u, 2)),
+        (4, lambda u: _z_special(u, 4) - 6.0 / 7.0 * _z_special(u, 2)),
+    ),
+    "T2g": (
+        (2, lambda u: u[:, 1] * u[:, 2]),
+        (4, lambda u: u[:, 1] * u[:, 2] * (7.0 * u[:, 0] ** 2 - 1.0)),
+    ),
+}
 
 
 @functools.lru_cache(maxsize=None)
@@ -409,23 +436,26 @@ def _level_label(irrep, row1: np.ndarray, grid: Grid, group: int, named: list) -
     """n + letter of an irrep level, n its rank among the deeper levels of
     the same irrep and letter; sb<group> without an irrep.
 
-    T1u holds l = 1 and l = 3 (x and x(5x^2 - 3r^2) in row 1): a
-    least-squares fit of the row-1 state to both on every shell of |r|
+    A1g, T1u, Eg and T2g each hold two angular momenta within reach (l = 0
+    and 4, 1 and 3, 2 and 4, 2 and 4): a least-squares fit of the row-1
+    state to both row-1 harmonics (_SHELL_FITS) on every shell of |r|
     decides which carries more power.
     """
     if irrep is None:
         return f"sb{group}"
     ell = _IRREP_ELL[irrep]
-    if irrep == "T1u":
+    if irrep in _SHELL_FITS:
+        ells, harmonics = zip(*_SHELL_FITS[irrep])
         r = np.linalg.norm(grid.points, axis=1)
         shells = np.rint(r / grid.spacing).astype(int)
-        power = np.zeros(2)
+        power = np.zeros(len(ells))
         for s in np.unique(shells[shells > 0]):
-            ux = grid.points[shells == s, 0] / r[shells == s]
-            basis = np.column_stack([ux, ux * (5.0 * ux * ux - 3.0)])
-            coef = np.linalg.lstsq(basis, row1[shells == s], rcond=None)[0]
+            on = shells == s
+            u = grid.points[on] / r[on, None]
+            basis = np.column_stack([f(u) for f in harmonics])
+            coef = np.linalg.lstsq(basis, row1[on], rcond=None)[0]
             power += coef**2 * np.sum(basis**2, axis=0)
-        ell = 3 if power[1] > power[0] else 1
+        ell = ells[int(np.argmax(power))]
     named.append((irrep, ell))
     return f"{named.count((irrep, ell))}{_ELL_LETTER[ell]}"
 

@@ -4,7 +4,12 @@ import numpy as np
 import pytest
 
 from nqdot.geometry import GeometrySpec, Grid, build_grid
-from nqdot.kernel import assemble_kernel, assemble_kernel_direct
+from nqdot.kernel import (
+    DisplacementPlan,
+    assemble_kernel,
+    assemble_kernel_direct,
+    kernel_block,
+)
 from nqdot.solver import Coupling, _BranchValues
 
 
@@ -55,29 +60,98 @@ def test_wire_kernel_matches_direct_sum(kappa):
     assert np.max(np.abs(k_fast - k_ref)) < 1e-11
 
 
-def test_random_periodic_grids_complex_hermitian():
-    """Random multi-layer periodic grids produce genuinely complex kernels;
-    the resummed forms must match direct summation and stay Hermitian."""
+def random_periodic_grids():
+    """A multi-layer wire and a multi-column slab, 8 random sites each."""
     rng = np.random.default_rng(0)
     pts_w = np.column_stack(
         [rng.uniform(-2, 2, 8), rng.uniform(-2, 2, 8), rng.uniform(0, 1.0, 8)]
     )
     wire = Grid(points=pts_w, spacing=1.0, periodic_axes=((2, 1.0),))
+    pts_s = np.column_stack(
+        [rng.uniform(0, 1, 8), rng.uniform(0, 1, 8), rng.uniform(-3, 3, 8)]
+    )
+    slab = Grid(points=pts_s, spacing=1.0, periodic_axes=((0, 1.0), (1, 1.0)))
+    return wire, slab
+
+
+def test_random_periodic_grids_complex_hermitian():
+    """Random multi-layer periodic grids produce genuinely complex kernels;
+    the resummed forms must match direct summation and stay Hermitian."""
+    wire, slab = random_periodic_grids()
     kv = np.array([0.0, 0.0, 0.7])
     k_fast = assemble_kernel(wire, 0.9, kv)
     k_ref = assemble_kernel_direct(wire, 0.9, kv, tol=1e-16)
     assert np.iscomplexobj(k_ref)
     assert np.max(np.abs(k_fast - k_ref)) < 1e-11
 
-    pts_s = np.column_stack(
-        [rng.uniform(0, 1, 8), rng.uniform(0, 1, 8), rng.uniform(-3, 3, 8)]
-    )
-    slab = Grid(points=pts_s, spacing=1.0, periodic_axes=((0, 1.0), (1, 1.0)))
     kv = np.array([0.5, -0.3, 0.0])
     k_fast = assemble_kernel(slab, 0.8, kv)
     k_ref = assemble_kernel_direct(slab, 0.8, kv, tol=1e-16)
     assert np.max(np.abs(k_fast - k_ref)) < 1e-11
     assert np.max(np.abs(k_ref - k_ref.conj().T)) < 1e-12
+
+
+def per_pair_kernel(grid, kappa, bloch_k):
+    """assemble_kernel without displacement classes: every pair evaluated."""
+    mat = kernel_block(
+        grid.points, grid, kappa, bloch_k, self_mask=np.eye(grid.n_points, dtype=bool)
+    )
+    return 0.5 * (mat + mat.conj().T)
+
+
+def _class_path_cases():
+    wire, slab = random_periodic_grids()
+    return [
+        ("wire R25 div10", build_grid(GeometrySpec.cylinder(25.0, 10)), 0.05, [0, 0, 0.04]),
+        ("wire R25 div12", build_grid(GeometrySpec.cylinder(25.0, 12)), 0.05, [0, 0, 0.04]),
+        ("film 100 div40", build_grid(GeometrySpec.slab(100.0, 40)), 0.003, [0.04, 0, 0]),
+        ("film 100 div30", build_grid(GeometrySpec.slab(100.0, 30)), 0.12, [0.02, -0.03, 0]),
+        ("random wire", wire, 0.9, [0, 0, 0.7]),
+        ("random slab", slab, 0.8, [0.5, -0.3, 0]),
+    ]
+
+
+@pytest.mark.parametrize("case", _class_path_cases(), ids=lambda case: case[0])
+def test_displacement_classes_bit_identical_to_per_pair(case):
+    """The class-gathered kernel is the pair-by-pair one, bit for bit, at
+    k = 0 and off it: each class is evaluated at its pairs' own float64
+    displacement."""
+    _name, grid, kappa, k = case
+    for bloch_k in (np.zeros(3), np.array(k, float)):
+        fast = assemble_kernel(grid, kappa, bloch_k)
+        slow = per_pair_kernel(grid, kappa, bloch_k)
+        assert fast.dtype == slow.dtype
+        assert np.array_equal(fast, slow)
+
+
+def test_displacement_classes_deduplicate_lattice_wire():
+    plan = DisplacementPlan(build_grid(GeometrySpec.cylinder(25.0, 10)))
+    assert plan.index.shape == (317, 317)
+    assert plan.index.size == 100_489
+    assert len(plan) == 1241
+    assert np.array_equal(np.unique(plan.index), np.arange(1241))
+
+
+@pytest.mark.parametrize(
+    "periodic_axes, axis, bloch_k",
+    [(((2, 1.0),), 0, [0, 0, 0.3]), (((0, 1.0), (1, 1.0)), 2, [0.3, 0, 0])],
+    ids=["wire", "slab"],
+)
+def test_displacement_classes_do_not_merge_one_ulp(periodic_axes, axis, bloch_k):
+    """Two pairs whose displacements differ by one ulp along a free axis
+    land in different classes, each with its own per-pair value."""
+    pts = np.zeros((4, 3))
+    pts[2:, 1] = 0.3
+    pts[1, axis] = 0.7
+    pts[3, axis] = np.nextafter(0.7, 1.0)
+    grid = Grid(points=pts, spacing=1.0, periodic_axes=periodic_axes)
+    d_a, d_b = pts[1] - pts[0], pts[3] - pts[2]
+    assert d_a[axis] != d_b[axis]
+    assert np.array_equal(np.delete(d_a, axis), np.delete(d_b, axis))
+    plan = DisplacementPlan(grid)
+    assert plan.index[1, 0] != plan.index[3, 2]
+    for k in (np.zeros(3), np.array(bloch_k, float)):
+        assert np.array_equal(assemble_kernel(grid, 0.8, k), per_pair_kernel(grid, 0.8, k))
 
 
 def test_bloch_k_zero_is_real():

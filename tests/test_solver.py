@@ -14,6 +14,7 @@ from nqdot.nuclides import CrystalComposition, NuclideTable, ScatteringEntry
 from nqdot.solver import (
     BoundState,
     Coupling,
+    _SHELL_FITS,
     _BranchValues,
     _min_source_distance,
     _oh_group,
@@ -322,6 +323,20 @@ def test_r55_f_and_2p_labels(lih, lih_bulk):
     assert len(states) < 24
 
 
+def test_r66_1g_shell_labels(lih, lih_bulk):
+    """R = 66 nm binds the whole 1g shell (A1g + Eg + T1g + T2g, nine
+    states): its A1g, Eg and T2g members must be told apart from s and d
+    levels of the same irreps by the shell-wise l = 4 fit."""
+    grid = build_grid(GeometrySpec.sphere(66.0, 10))
+    coupling = Coupling.from_composition(lih, grid)
+    states = solve_bound_states(grid, coupling, max_states=48)
+    labels = spherical_well_state_labels(lih_bulk.e_b_star, 66.0)
+    found = [s.level_label for s in states]
+    assert found == labels[: len(states)]
+    assert found.count("1g") == labels.count("1g") == 9
+    assert len(states) < 48
+
+
 # ---------------------------------------------------------------------------
 # cubic symmetry blocks
 # ---------------------------------------------------------------------------
@@ -350,6 +365,35 @@ def test_oh_irreps_are_orthogonal_representations():
     chars = np.array(chars)
     assert sorted(rep.shape[1] for _n, rep in irreps) == [1, 1, 1, 1, 2, 2, 3, 3, 3, 3]
     assert np.allclose(chars @ chars.T, 48.0 * np.eye(10), atol=1e-12)
+
+
+def test_shell_fit_harmonics_are_row1_and_orthogonal():
+    """Each fitted pair is row 1 of its irrep (fixed by the projector
+    P_11 = (d/48) sum_g D_11(g) g) and orthogonal on the unit sphere, so
+    the fit splits a state's power between the two angular momenta."""
+    irreps = dict(_oh_group()[2])
+    mats = _oh_matrices()
+    rng = np.random.default_rng(5)
+    u = rng.normal(size=(50, 3))
+    u /= np.linalg.norm(u, axis=1)[:, None]
+    mu, w_mu = np.polynomial.legendre.leggauss(10)  # exact to degree 8 here
+    phi = np.arange(20) * (2 * math.pi / 20)
+    st = np.sqrt(1 - mu * mu)
+    sphere = np.stack(
+        [np.outer(st, np.cos(phi)), np.outer(st, np.sin(phi)), np.outer(mu, np.ones(20))],
+        axis=-1,
+    ).reshape(-1, 3)
+    weights = np.repeat(w_mu, 20)
+    for name, fits in _SHELL_FITS.items():
+        rep = irreps[name]
+        d = rep.shape[1]
+        for _ell, f in fits:
+            # (g f)(u) = f(M_g^T u); u @ M_g is M_g^T u for row vectors
+            projected = d / 48 * sum(rep[g, 0, 0] * f(u @ mats[g]) for g in range(48))
+            assert np.allclose(projected, f(u), atol=1e-12), name
+        (_lo, f_lo), (_hi, f_hi) = fits
+        overlap = np.sum(weights * f_lo(sphere) * f_hi(sphere))
+        assert abs(overlap) < 1e-12 * np.sum(weights * f_hi(sphere) ** 2), name
 
 
 def test_symmetry_blocks_match_dense_reference(lih):
