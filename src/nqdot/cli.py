@@ -3,7 +3,8 @@
 Every subcommand reads file-based inputs, writes one primary artifact
 (CSV or JSON) plus a resolved-config sidecar, and is reproducible: the
 artifact embeds the package version, the constants-ledger hash, and the
-fully resolved configuration; re-running `nqdot <sub> --config <sidecar>`
+fully resolved configuration; the sidecar adds the argv that produced it,
+and `nqdot --config <sidecar> [--output <path>]` replays that argv, which
 regenerates the artifact byte for byte (no timestamps, fixed formatting).
 
 Exit codes: 0 success (including the explicit empty-result marker when no
@@ -88,9 +89,10 @@ def _write_json(path: Path, config: dict, payload: dict):
     )
 
 
-def _write_sidecar(out_path: Path, config: dict):
+def _write_sidecar(out_path: Path, config: dict, argv: list):
     side = out_path.with_suffix(out_path.suffix + ".config.json")
-    side.write_text(json.dumps(config, indent=2, sort_keys=True) + "\n", "utf-8")
+    doc = {**config, "argv": argv}
+    side.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", "utf-8")
 
 
 def _table(args) -> NuclideTable:
@@ -199,7 +201,7 @@ def _solve_levels(args, shape, out_path, size_flag):
         "size_nm": size,
         "grid_div": args.grid_div,
         "max_states": args.max_states,
-        "format": args.format or "csv",
+        "format": "csv",
         "nuclide_table": args.nuclide_table,
     }
     header = ["label", "degeneracy", "kappa_nm_inv", "e_b_ueV", "lifetime_ms"]
@@ -463,7 +465,6 @@ def _add_common(p, with_grid=True):
     p.add_argument("--composition", help="path to a composition JSON file")
     p.add_argument("--nuclide-table", help="path to a nuclide table CSV")
     p.add_argument("--output", "-o", help="primary artifact path")
-    p.add_argument("--format", choices=["csv", "json"], help="artifact format")
     p.add_argument("--threads", type=int, help="cap BLAS worker threads (count)")
     if with_grid:
         p.add_argument(
@@ -485,6 +486,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bulk", help="bulk-crystal E_b*, T*, bound, mass gain")
     _add_common(p, with_grid=False)
+    p.add_argument("--format", choices=["csv", "json"], help="artifact format")
 
     p = sub.add_parser("dot", help="bound levels of a spherical nanocrystal")
     _add_common(p)
@@ -565,64 +567,33 @@ DEFAULT_OUTPUTS = {
 }
 
 
-def _args_from_config(config: dict, output):
-    """Rebuild an argv vector from a resolved-config dict."""
-    sub = config["subcommand"]
-    argv = [sub]
-    skip = {"subcommand", "format", "summary", "mode"}
-    flags = {
-        "material": "--material",
-        "nuclide_table": "--nuclide-table",
-        "size_nm": None,  # resolved below
-        "grid_div": "--grid-div",
-        "max_states": "--max-states",
-        "radius_nm": "--radius-nm",
-        "thickness_nm": "--thickness-nm",
-        "voltage_v": "--voltage-v",
-        "field_kv_cm": "--field-kv-cm",
-        "periods": "--periods",
-        "sweep_radius": "--sweep-radius",
-        "input": "--input",
-        "kpoints": "--kpoints",
-        "kmax_nm_inv": "--kmax",
-        "g_shells": "--g-shells",
-        "state_index": "--state-index",
-        "extent": "--extent",
-        "samples": "--samples",
-    }
-    size_flag = {"dot": "--radius-nm", "wire": "--radius-nm", "film": "--thickness-nm"}
-    for key, val in config.items():
-        if key in skip or val is None:
-            continue
-        if key == "size_nm":
-            argv += [size_flag[sub], str(val)]
-            continue
-        flag = flags.get(key)
-        if flag:
-            argv += [flag, str(val)]
-    if config.get("mode") == "bulk":
-        argv.append("--bulk")
-    if config.get("format"):
-        argv += ["--format", config["format"]]
-    if output:
-        argv += ["--output", str(output)]
-    return argv
-
-
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     ap = build_parser()
     args = ap.parse_args(argv)
+    output = args.output  # a replay writes where its own command line says
 
     if args.config:
-        config = json.loads(Path(args.config).read_text("utf-8"))
-        return main(_args_from_config(config, args.output))
+        try:
+            sidecar = json.loads(Path(args.config).read_text("utf-8"))
+        except (OSError, ValueError) as exc:
+            print(f"error: --config {args.config}: {exc}", file=sys.stderr)
+            return 2
+        if "argv" not in sidecar:
+            print(
+                f"error: --config {args.config} records no argv to replay; "
+                "run the subcommand again to write a new sidecar",
+                file=sys.stderr,
+            )
+            return 2
+        argv = sidecar["argv"]
+        args = ap.parse_args(argv)
 
     if not args.subcommand:
         ap.print_help()
         return 2
 
-    out_path = Path(args.output or DEFAULT_OUTPUTS[args.subcommand])
+    out_path = Path(output or DEFAULT_OUTPUTS[args.subcommand])
 
     limiter = None
     if getattr(args, "threads", None):
@@ -637,7 +608,7 @@ def main(argv=None) -> int:
     try:
         handler = HANDLERS[args.subcommand]
         config = handler(args, out_path)
-        _write_sidecar(out_path, config)
+        _write_sidecar(out_path, config, argv)
         print(f"wrote {out_path}")
         return 0
     except SystemExit2 as exc:

@@ -22,6 +22,7 @@ irrep names it (A1g s, T1u p or f, Eg/T2g d, A2u/T2u f).
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import itertools
 import math
@@ -35,6 +36,7 @@ from scipy.linalg import eigh
 from .constants import HBAR2_OVER_2MN
 from .errors import (
     EvalTooCloseToSource,
+    GeometryMismatch,
     NonConvergedEigensolve,
     ZeroAbsorption,
 )
@@ -84,12 +86,16 @@ class Coupling:
         return math.sqrt(4.0 * math.pi * (-self.c) / self.spacing**3)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BoundState:
     """One solution of the discrete kernel equation.
 
     psi is normalized cell-wise, sum |psi_i|^2 a0^3 = 1.  residual is the
     relative defect ||psi + c K psi|| / ||psi|| = |1 - lambda| at the root.
+    scale is the amplitude s of the continuous field s K psi that matches
+    psi at the sites in least squares, Re<K psi, psi> / <K psi, K psi>; it
+    does not depend on the normalization of psi.  States compare by
+    identity (eq=False): an ndarray field makes field-wise == ambiguous.
     """
 
     kappa: float  # 1/nm
@@ -98,6 +104,7 @@ class BoundState:
     level_label: str
     degeneracy_group: int
     residual: float
+    scale: float
     grid_signature: tuple
     bloch_k: Optional[tuple] = None
 
@@ -415,6 +422,10 @@ def solve_bound_states(
         else:
             k_units = k_vecs[:, members]
         residuals = np.linalg.norm(units + coupling.c * k_units, axis=0)
+        scales = [
+            np.real(np.vdot(kv, v)) / np.real(np.vdot(kv, kv))
+            for v, kv in zip(units.T, k_units.T)
+        ]
         label = _level_label(irreps[members[0]], units[:, 0], grid, group, named)
         for j in range(len(members)):
             states.append(
@@ -425,6 +436,7 @@ def solve_bound_states(
                     level_label=label,
                     degeneracy_group=group,
                     residual=float(residuals[j]),
+                    scale=float(scales[j]),
                     grid_signature=grid.signature(),
                     bloch_k=None if bloch_k is None else tuple(np.asarray(bloch_k, float)),
                 )
@@ -538,7 +550,7 @@ def exterior_weight(
         ).reshape(-1, 3)
         w_ang = np.repeat(w_mu, 32) * w_phi
         pts = (r[:, None, None] * dirs[None, :, :]).reshape(-1, 3)
-        vals = _field_at(pts, state, grid, coupling, scale)
+        vals = _field_at(pts, state, grid, scale)
         dens = (np.abs(vals) ** 2).reshape(len(r), -1)
         radial = dens @ w_ang
         return float(np.sum(s_wts * jac * r * r * radial))
@@ -559,7 +571,7 @@ def exterior_weight(
             pts[..., 0] = ux.ravel()[None, :]
             pts[..., 1] = uy.ravel()[None, :]
             pts[..., 2] = z[:, None]
-            vals = _field_at(pts.reshape(-1, 3), state, grid, coupling, scale)
+            vals = _field_at(pts.reshape(-1, 3), state, grid, scale)
             dens = (np.abs(vals) ** 2).reshape(len(z), -1).sum(axis=1) * w_ip
             total += float(np.sum(s_wts * jac * dens))
         return total
@@ -579,7 +591,7 @@ def exterior_weight(
         pts[..., trans[0]] = (rho[:, None] * np.cos(phi)[None, :])[:, :, None]
         pts[..., trans[1]] = (rho[:, None] * np.sin(phi)[None, :])[:, :, None]
         pts[..., axis] = zs[None, None, :]
-        vals = _field_at(pts.reshape(-1, 3), state, grid, coupling, scale)
+        vals = _field_at(pts.reshape(-1, 3), state, grid, scale)
         dens = (np.abs(vals) ** 2).reshape(len(rho), -1).sum(axis=1) * w_phi * w_z
         return float(np.sum(s_wts * jac * rho * dens))
 
@@ -598,16 +610,7 @@ def lifetime_with_leakage(
     leaky (weakly bound) state lives longer than the bulk T*."""
     w_ext = exterior_weight(state, grid, coupling)
     inside = float(np.sum(np.abs(state.psi) ** 2)) * grid.cell_weight
-    rescaled = BoundState(
-        kappa=state.kappa,
-        e_b=state.e_b,
-        psi=state.psi / math.sqrt(inside + w_ext),
-        level_label=state.level_label,
-        degeneracy_group=state.degeneracy_group,
-        residual=state.residual,
-        grid_signature=state.grid_signature,
-        bloch_k=state.bloch_k,
-    )
+    rescaled = dataclasses.replace(state, psi=state.psi / math.sqrt(inside + w_ext))
     return finite_lifetime(rescaled, grid, comp, table)
 
 
@@ -616,32 +619,26 @@ def lifetime_with_leakage(
 # ---------------------------------------------------------------------------
 
 
-_scale_memo = {}  # (state id, grid, c) -> (state, (s, rel)); FIFO of 32
-
-
 def reconstruction_scale(
     state: BoundState, grid: Grid, coupling: Coupling
 ) -> tuple:
-    """Least-squares amplitude s matching s * K psi to psi at the sites.
+    """The state's site-matching amplitude s (BoundState.scale) and its
+    relative deviation rel from |c|, as (s, rel).
 
     At an exact root s equals -c = |c|; the residual keeps it within the
-    5 percent consistency gate.
+    5 percent consistency gate, so a larger rel (ValueError) means state and
+    coupling do not belong together.  s was computed on the state's own
+    grid, so a state from another grid raises GeometryMismatch.
     """
-    key = (id(state), grid.signature(), coupling.c)
-    if key in _scale_memo:
-        return _scale_memo[key][1]
-    f = _kernel_apply(grid, state.kappa, state.bloch_k, state.psi)
-    denom = np.real(np.vdot(f, f))
-    s = float(np.real(np.vdot(f, state.psi)) / denom)
+    if state.grid_signature != grid.signature():
+        raise GeometryMismatch("state comes from a different grid")
+    s = state.scale
     rel = abs(s - (-coupling.c)) / abs(coupling.c)
     if rel > 0.05:
         raise ValueError(
             f"site-matching scale deviates from |c| by {rel:.2%}; "
             "state and coupling are inconsistent"
         )
-    if len(_scale_memo) >= 32:
-        _scale_memo.pop(next(iter(_scale_memo)))
-    _scale_memo[key] = (state, (s, rel))
     return s, rel
 
 
@@ -659,7 +656,7 @@ def _kernel_apply(grid: Grid, kappa: float, bloch_k, vecs, targets=None, chunk=5
     return np.concatenate(parts)
 
 
-def _field_at(points, state, grid, coupling, scale):
+def _field_at(points, state, grid, scale):
     """Reconstructed field at arbitrary points, in bounded-memory chunks."""
     return scale * _kernel_apply(grid, state.kappa, state.bloch_k, state.psi, points)
 
@@ -698,6 +695,7 @@ def reconstruct_wavefunction(
     Eval points must keep a0/10 clearance from every source (and from every
     periodic image of a source).
     """
+    scale, _ = reconstruction_scale(state, grid, coupling)
     eval_points = np.atleast_2d(np.asarray(eval_points, dtype=float))
     min_d = _min_source_distance(eval_points, grid)
     if min_d < grid.spacing / 10.0:
@@ -705,5 +703,4 @@ def reconstruct_wavefunction(
             f"closest evaluation-source distance {min_d:.3g} nm is below "
             f"a0/10 = {grid.spacing / 10:.3g} nm"
         )
-    scale, _ = reconstruction_scale(state, grid, coupling)
-    return _field_at(eval_points, state, grid, coupling, scale)
+    return _field_at(eval_points, state, grid, scale)

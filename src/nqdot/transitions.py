@@ -16,6 +16,7 @@ values outside the crystal, and each state is normalized on that same box.
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -67,12 +68,11 @@ class TransitionElement:
             raise ValueError("d_mn must be a 3-vector")
 
 
-def _box_lattice(grid: Grid, box_factor: float):
+def _box_lattice(grid: Grid):
     """Integer lattice extension of a sphere grid to the 3R cube, with
     per-axis trapezoidal weights (half weight on the cube faces)."""
-    spec = grid.spec
-    n = spec.grid_div
-    half = int(round(box_factor / 2.0 * n))
+    n = grid.spec.grid_div
+    half = int(round(1.5 * n))
     ax = np.arange(-half, half + 1)
     w_ax = np.ones(ax.size)
     w_ax[0] = w_ax[-1] = 0.5
@@ -82,26 +82,24 @@ def _box_lattice(grid: Grid, box_factor: float):
     return pts, w
 
 
-_box_field_memo = {}  # (state id, box_factor) -> (state, values)
+# box values of each live state: the state fixes its grid and its scale,
+# so an entry stays valid for as long as the state exists
+_box_fields = weakref.WeakKeyDictionary()
 
 
-def _box_field(state: BoundState, grid: Grid, coupling: Coupling, pts_int, a0, box_factor):
+def _box_field(state: BoundState, grid: Grid, pts_int, a0, scale):
     """State values on the box lattice: grid psi inside, reconstruction outside."""
-    key = (id(state), grid.signature(), box_factor)
-    if key in _box_field_memo:
-        return _box_field_memo[key][1]
+    if state in _box_fields:
+        return _box_fields[state]
     n = grid.spec.grid_div
     inside = (pts_int**2).sum(axis=1) <= n * n
     index = {tuple(np.rint(p / a0).astype(int)): i for i, p in enumerate(grid.points)}
     vals = np.zeros(len(pts_int), dtype=state.psi.dtype)
     for row in np.nonzero(inside)[0]:
         vals[row] = state.psi[index[tuple(pts_int[row])]]
-    scale, _ = reconstruction_scale(state, grid, coupling)
     outside_pts = pts_int[~inside] * a0
-    vals[~inside] = _field_at(outside_pts, state, grid, coupling, scale)
-    if len(_box_field_memo) > 16:
-        _box_field_memo.pop(next(iter(_box_field_memo)))
-    _box_field_memo[key] = (state, vals)
+    vals[~inside] = _field_at(outside_pts, state, grid, scale)
+    _box_fields[state] = vals
     return vals
 
 
@@ -110,22 +108,22 @@ def dipole_element(
     state_n: BoundState,
     grid: Grid,
     coupling: Coupling,
-    box_factor: float = 3.0,
 ) -> TransitionElement:
     """d_mn = integral psi_m* r psi_n over the 3R cube, on the a0 lattice,
-    with both states normalized over that cube."""
+    with both states normalized over that cube.  Raises GeometryMismatch for
+    a state of another grid and ValueError for a coupling the states do not
+    solve (reconstruction_scale), cached box values or not."""
     if grid.spec is None or grid.spec.shape != SPHERE:
         raise GeometryMismatch("dipole elements are defined for sphere grids")
-    sig = grid.signature()
-    if state_m.grid_signature != sig or state_n.grid_signature != sig:
-        raise GeometryMismatch("states come from a different grid")
+    scale_m, _ = reconstruction_scale(state_m, grid, coupling)
+    scale_n, _ = reconstruction_scale(state_n, grid, coupling)
     a0 = grid.spacing
-    pts_int, w = _box_lattice(grid, box_factor)
-    f_m = _box_field(state_m, grid, coupling, pts_int, a0, box_factor)
+    pts_int, w = _box_lattice(grid)
+    f_m = _box_field(state_m, grid, pts_int, a0, scale_m)
     if state_n is state_m:
         f_n = f_m
     else:
-        f_n = _box_field(state_n, grid, coupling, pts_int, a0, box_factor)
+        f_n = _box_field(state_n, grid, pts_int, a0, scale_n)
     # psi is normalized on the crystal cells only; normalizing each state
     # again over the box counts its exterior tail (the a0^3 cell volumes cancel)
     norm = math.sqrt(float(np.sum(np.abs(f_m) ** 2 * w) * np.sum(np.abs(f_n) ** 2 * w)))

@@ -225,3 +225,71 @@ def test_help_documents_units_for_numeric_flags():
                     f"{name} {action.option_strings}: numeric flag help "
                     f"lacks a unit tag: {action.help!r}"
                 )
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["dot", "--material", "LiH", "--radius-nm", "10", "--max-states", "2"],
+        ["wire", "--material", "LiH", "--radius-nm", "5", "--max-states", "1"],
+        ["film", "--material", "LiH", "--thickness-nm", "10", "--max-states", "1"],
+        ["bands", "--material", "LiH", "--bulk", "--kpoints", "2"],
+        ["rabi", "--material", "LiH", "--radius-nm", "10"],
+        ["screen", "--input", str(SAMPLE)],
+        ["wf", "--material", "LiH", "--radius-nm", "10"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_format_rejected_where_only_csv_exists(tmp_path, argv):
+    out = tmp_path / "out.csv"
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--format", "json", "--output", str(out)])
+    assert exc.value.code == 2
+    assert list(tmp_path.iterdir()) == []
+
+
+REPLAYS = {
+    "bulk-json": ["bulk", "--material", "LiH"],
+    "bulk-csv": ["bulk", "--material", "LiH", "--format", "csv"],
+    "dot": ["dot", "--material", "LiH", "--radius-nm", "30", "--grid-div", "6",
+            "--max-states", "4"],
+    "wire": ["wire", "--material", "LiH", "--radius-nm", "25", "--grid-div", "6",
+             "--max-states", "2"],
+    "film": ["film", "--material", "LiH", "--thickness-nm", "60", "--grid-div", "6",
+             "--max-states", "2"],
+    "bands-film": ["bands", "--material", "LiH", "--thickness-nm", "60", "--grid-div", "6",
+                   "--kpoints", "2", "--max-states", "2"],
+    "bands-wire": ["bands", "--material", "LiH", "--radius-nm", "25", "--grid-div", "6",
+                   "--kpoints", "2", "--max-states", "2"],
+    "bands-bulk": ["bands", "--material", "LiH", "--bulk", "--kpoints", "3"],
+    "rabi": ["rabi", "--material", "LiH", "--radius-nm", "30", "--grid-div", "6",
+             "--periods", "0.5"],
+    "screen": ["screen", "--input", str(SAMPLE)],
+    "wf": ["wf", "--material", "LiH", "--radius-nm", "30", "--grid-div", "6",
+           "--samples", "5"],
+}
+
+
+@pytest.mark.parametrize("name", list(REPLAYS))
+def test_sidecar_replay_is_byte_identical(tmp_path, name):
+    out1, out2 = tmp_path / "a.out", tmp_path / "b.out"
+    assert main(REPLAYS[name] + ["--output", str(out1)]) == 0
+    sidecar = tmp_path / "a.out.config.json"
+    assert main(["--config", str(sidecar), "--output", str(out2)]) == 0
+    assert out1.read_bytes() == out2.read_bytes()
+    assert sidecar.read_bytes() == (tmp_path / "b.out.config.json").read_bytes()
+
+
+def test_unreplayable_sidecar_exits_2(tmp_path, capsys):
+    out1 = tmp_path / "a.json"
+    assert main(["bulk", "--material", "LiH", "--output", str(out1)]) == 0
+    sidecar = tmp_path / "a.json.config.json"
+    doc = json.loads(sidecar.read_text())
+    del doc["argv"]
+    sidecar.write_text(json.dumps(doc))
+    out2 = tmp_path / "b.json"
+    capsys.readouterr()
+    for path in (sidecar, tmp_path / "missing.json"):
+        assert main(["--config", str(path), "--output", str(out2)]) == 2
+        assert "--config" in capsys.readouterr().err
+        assert not out2.exists()

@@ -16,6 +16,7 @@ from nqdot.solver import (
     Coupling,
     _SHELL_FITS,
     _BranchValues,
+    _kernel_apply,
     _min_source_distance,
     _oh_group,
     exterior_weight,
@@ -495,6 +496,7 @@ def synthetic_state(psi, grid, kappa=0.1):
         level_label="syn",
         degeneracy_group=0,
         residual=0.0,
+        scale=math.nan,
         grid_signature=grid.signature(),
     )
 
@@ -555,6 +557,20 @@ def test_product_bound_for_every_state(r30, r40, lih, lih_bulk):
 def test_reconstruction_scale_matches_coupling(r30):
     _s, rel = reconstruction_scale(r30.states[0], r30.grid, r30.coupling)
     assert rel < 0.05
+
+
+def test_stored_scale_is_the_site_least_squares_match(r30, lih):
+    """BoundState.scale, taken from the solve's own K psi, equals
+    Re<K psi, psi> / <K psi, K psi> recomputed from psi, for every member
+    of a multiplet and on the dense periodic path as well."""
+    film = build_grid(GeometrySpec.slab(100.0, 10))
+    film_states = solve_bound_states(film, Coupling.from_composition(lih, film), max_states=2)
+    cases = [(s, r30.grid) for s in r30.states] + [(s, film) for s in film_states]
+    assert len(cases) == len(r30.states) + 2
+    for state, grid in cases:
+        f = _kernel_apply(grid, state.kappa, state.bloch_k, state.psi)
+        s = np.real(np.vdot(f, state.psi)) / np.real(np.vdot(f, f))
+        assert state.scale == pytest.approx(s, rel=1e-12)
 
 
 def test_reconstruction_far_field(r30):

@@ -5,7 +5,12 @@ import pytest
 
 from nqdot.errors import GeometryMismatch, StepTooCoarse, ZeroDrive
 from nqdot.geometry import GeometrySpec, build_grid
-from nqdot.solver import Coupling, lifetime_with_leakage, solve_bound_states
+from nqdot.solver import (
+    Coupling,
+    lifetime_with_leakage,
+    reconstruct_wavefunction,
+    solve_bound_states,
+)
 from nqdot.transitions import (
     DriveConfig,
     dipole_element,
@@ -71,6 +76,39 @@ def test_dipole_rejects_foreign_grid(r40, lih):
     coupling = Coupling.from_composition(lih, other)
     with pytest.raises(GeometryMismatch):
         dipole_element(r40.states[0], r40.states[1], other, coupling)
+
+
+@pytest.fixture(scope="module")
+def r30_div8(lih):
+    """LiH sphere R = 30 nm, grid_div 8 (N = 2109): 1s and the 1p triple."""
+    grid = build_grid(GeometrySpec.sphere(30.0, 8))
+    coupling = Coupling.from_composition(lih, grid)
+    return grid, coupling, solve_bound_states(grid, coupling, max_states=4)
+
+
+def test_coupling_gate_survives_cached_box_field(r30_div8):
+    """A coupling the states do not solve is refused even when both states'
+    box fields are already cached from a call with the right one."""
+    grid, coupling, states = r30_div8
+    dipole_element(states[0], states[1], grid, coupling)
+    wrong = Coupling(c=1.5 * coupling.c, spacing=coupling.spacing)
+    with pytest.raises(ValueError, match="deviates from"):
+        dipole_element(states[0], states[1], grid, wrong)
+
+
+def test_state_of_another_grid_with_equal_size_is_refused(r30_div8, lih):
+    """The R = 31 nm grid has the same N = 2109 as R = 30 nm at grid_div 8,
+    so only the signature tells the two apart."""
+    _grid, _coupling, states = r30_div8
+    other = build_grid(GeometrySpec.sphere(31.0, 8))
+    assert other.n_points == len(states[0].psi)
+    coupling = Coupling.from_composition(lih, other)
+    with pytest.raises(GeometryMismatch):
+        reconstruct_wavefunction(states[0], other, coupling, [[50.3, 0.37, 0.21]])
+    with pytest.raises(GeometryMismatch):
+        lifetime_with_leakage(states[0], other, lih, coupling)
+    with pytest.raises(GeometryMismatch):
+        dipole_element(states[0], states[1], other, coupling)
 
 
 def test_dipole_resolution_stability(lih, r40):
