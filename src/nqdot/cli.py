@@ -36,7 +36,7 @@ from .errors import (
 from .geometry import GeometrySpec, build_grid
 from .materials import load_material
 from .nuclides import NuclideTable, default_table
-from .screening import ScreeningRules, ingest_records, screen_materials
+from .screening import ingest_records, screen_materials
 from .solver import (
     Coupling,
     lifetime_with_leakage,
@@ -382,7 +382,7 @@ def cmd_rabi(args, out_path):
 def cmd_screen(args, out_path):
     table = _table(args)
     records, bad_rows = ingest_records(args.input, on_error="collect")
-    report = screen_materials(records, ScreeningRules(), table)
+    report = screen_materials(records, table)
     config = {
         "subcommand": "screen",
         "input": args.input,

@@ -14,6 +14,7 @@ each point represents a cell of volume a0^3.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Optional
@@ -88,6 +89,37 @@ class Grid:
         shape = self.spec.shape if self.spec else "custom"
         size = self.spec.size_nm if self.spec else 0.0
         return (shape, round(size, 9), round(self.spacing, 12), self.n_points)
+
+    @functools.cached_property
+    def pair_classes(self) -> tuple:
+        """The site pairs grouped by displacement r_i - r_j, found once per grid.
+
+        A lattice sum depends on a pair only through its displacement and on
+        whether the pair is a site with itself (its L = 0 term excluded), so
+        an N x N periodic kernel holds one value per class of pairs that
+        agree in both.  Classes are keyed on the exact float64 bits of the
+        displacement, so each class is evaluated at the very displacement
+        its pairs would give.  Returns (index, displacements, self_pair):
+        the N x N class of each pair, one displacement per class and whether
+        the class is a site with itself.  On lattice grids the N^2 pairs fall
+        into O(N) classes (1 241 for the 100 489 pairs of an R = 25 nm,
+        grid_div 10 wire).
+        """
+        n = self.n_points
+        d = (self.points[:, None, :] - self.points[None, :, :]).reshape(n * n, 3)
+        is_self = np.eye(n, dtype=bool).ravel()
+        keys = np.column_stack([d.view(np.uint64), is_self])
+        order = np.lexsort(keys.T)
+        ranked = keys[order]
+        new = np.ones(n * n, dtype=bool)
+        np.any(ranked[1:] != ranked[:-1], axis=1, out=new[1:])
+        index = np.empty(n * n, dtype=np.intp)
+        index[order] = np.cumsum(new) - 1
+        first = order[new]
+        classes = (index.reshape(n, n), d[first], is_self[first])
+        for a in classes:
+            a.setflags(write=False)
+        return classes
 
 
 def build_grid(spec: GeometrySpec) -> Grid:

@@ -339,70 +339,26 @@ def kernel_block(
     )
 
 
-class DisplacementPlan:
-    """The pairs of a periodic grid, grouped by displacement r_i - r_j.
-
-    A lattice sum depends on a pair only through its displacement and on
-    whether the pair is a site with itself (its L = 0 term excluded), so an
-    N x N periodic kernel holds one value per class of pairs that agree in
-    both.  Classes are keyed on the exact float64 bits of the displacement:
-    each class is evaluated at the very displacement its pairs would give,
-    so the gathered matrix equals the pair-by-pair one bit for bit.  On
-    lattice grids the N^2 pairs fall into O(N) classes (1 241 for the
-    100 489 pairs of an R = 25 nm, grid_div 10 wire).
-    """
-
-    def __init__(self, grid: Grid):
-        if not grid.periodic_axes:
-            raise ValueError("displacement classes need a periodic grid")
-        n = grid.n_points
-        d = _pairwise_displacements(grid.points, grid.points).reshape(n * n, 3)
-        is_self = np.eye(n, dtype=bool).ravel()
-        keys = np.column_stack([d.view(np.uint64), is_self])
-        order = np.lexsort(keys.T)
-        ranked = keys[order]
-        new = np.ones(n * n, dtype=bool)
-        np.any(ranked[1:] != ranked[:-1], axis=1, out=new[1:])
-        index = np.empty(n * n, dtype=np.intp)
-        index[order] = np.cumsum(new) - 1
-        self.index = index.reshape(n, n)  # class of each pair
-        first = order[new]
-        self.displacements = d[first]  # one representative per class
-        self.self_image = is_self[first, None]
-        # sources: one site at the origin, so a target is its displacement
-        self.origin = Grid(np.zeros((1, 3)), grid.spacing, grid.periodic_axes)
-
-    def __len__(self) -> int:
-        return len(self.displacements)
-
-    def kernel(self, kappa: float, bloch_k=None) -> np.ndarray:
-        """assemble_kernel for the planned grid: one kernel_block entry per
-        class, gathered into N x N."""
-        values = kernel_block(
-            self.displacements, self.origin, kappa, bloch_k, self.self_image
-        )
-        mat = values[:, 0][self.index]
-        # enforce exact Hermiticity against last-bit asymmetries
-        return 0.5 * (mat + mat.conj().T)
-
-
 def assemble_kernel(grid: Grid, kappa: float, bloch_k=None) -> np.ndarray:
     """Square Hermitian kernel over the grid sites.
 
     Aperiodic: K_ij = exp(-kappa r_ij)/r_ij off the diagonal, K_ii = 0.
     Periodic: image-resummed lattice kernel; the diagonal carries the
-    physical self-image sum (all L != 0).  It is evaluated once per
-    displacement class (DisplacementPlan); KernelFactory keeps its plan
-    across kappa.
+    physical self-image sum (all L != 0).  It is evaluated once per class
+    of equal pair displacements (Grid.pair_classes), against one source at
+    the origin, and gathered into N x N; the gathered matrix equals the
+    pair-by-pair one bit for bit.
     """
     if grid.periodic_axes:
-        return DisplacementPlan(grid).kernel(kappa, bloch_k)
-    n = grid.n_points
-    mask = np.eye(n, dtype=bool)
-    mat = kernel_block(grid.points, grid, kappa, bloch_k, self_mask=mask)
+        index, displacements, self_pair = grid.pair_classes
+        origin = Grid(np.zeros((1, 3)), grid.spacing, grid.periodic_axes)
+        values = kernel_block(displacements, origin, kappa, bloch_k, self_pair[:, None])
+        mat = values[:, 0][index]
+    else:
+        mask = np.eye(grid.n_points, dtype=bool)
+        mat = kernel_block(grid.points, grid, kappa, bloch_k, self_mask=mask)
     # enforce exact Hermiticity against last-bit asymmetries
-    mat = 0.5 * (mat + mat.conj().T)
-    return mat
+    return 0.5 * (mat + mat.conj().T)
 
 
 def assemble_kernel_direct(

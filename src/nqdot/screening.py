@@ -59,15 +59,6 @@ class ScreenResult:
     pareto: bool = False
 
 
-@dataclass(frozen=True)
-class ScreeningRules:
-    require_stable: bool = True
-    max_z: int = MAX_Z
-    exclude_radioactive: bool = True
-    isotope_defaults: tuple = tuple(sorted(DEFAULT_ISOTOPES.items()))
-    polarize_hydrogen: bool = True
-
-
 @dataclass
 class ScreenReport:
     """Results plus everything that did not make it, with reasons."""
@@ -140,43 +131,37 @@ def ingest_records(path, on_error: str = "raise"):
     return records
 
 
-def _resolve_species(record: CrystalRecord, rules: ScreeningRules):
+def _resolve_species(record: CrystalRecord):
     """Apply polarization and isotope-purification defaults."""
-    defaults = dict(rules.isotope_defaults)
     out = []
     for el, iso, count in record.species:
-        polarized = rules.polarize_hydrogen and el == "H"
+        polarized = el == "H"
         if polarized and iso is None:
             iso = 1
         if iso is None:
-            iso = defaults.get(el)
+            iso = DEFAULT_ISOTOPES.get(el)
         out.append(((el, iso, polarized), count))
     return tuple(out)
 
 
-def screen_materials(
-    records,
-    rules: Optional[ScreeningRules] = None,
-    table: Optional[NuclideTable] = None,
-) -> ScreenReport:
+def screen_materials(records, table: Optional[NuclideTable] = None) -> ScreenReport:
     """Filter records, compute bulk observables, flag the Pareto frontier."""
-    rules = rules or ScreeningRules()
     table = table or default_table()
     report = ScreenReport()
     for rec in records:
-        if rules.require_stable and not rec.is_stable:
+        if not rec.is_stable:
             report.dropped.append((rec.id, "not stable"))
             continue
-        if rec.max_Z > rules.max_z:
-            report.dropped.append((rec.id, f"element heavier than Z={rules.max_z}"))
+        if rec.max_Z > MAX_Z:
+            report.dropped.append((rec.id, f"element heavier than Z={MAX_Z}"))
             continue
-        species = _resolve_species(rec, rules)
+        species = _resolve_species(rec)
         try:
             entries = [table.lookup_entry(*key) for key, _n in species]
         except UnknownNuclide as exc:
             report.errors.append((rec.id, str(exc)))
             continue
-        if rules.exclude_radioactive and any(e.radioactive for e in entries):
+        if any(e.radioactive for e in entries):
             report.dropped.append((rec.id, "radioactive nuclide"))
             continue
         comp = CrystalComposition(rec.formula, species, rec.cell_volume_A3)

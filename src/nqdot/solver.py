@@ -41,7 +41,7 @@ from .errors import (
     ZeroAbsorption,
 )
 from .geometry import CYLINDER, SLAB, SPHERE, Grid
-from .kernel import DisplacementPlan, assemble_kernel, kernel_block
+from .kernel import assemble_kernel, kernel_block
 from .nuclides import CrystalComposition, NuclideTable, default_table
 
 ENERGY_FLOOR_UEV = 1e-4  # states shallower than this are not searched for
@@ -111,23 +111,6 @@ class BoundState:
     def __post_init__(self):
         if abs(self.e_b - HBAR2_OVER_2MN * self.kappa**2) > 1e-12 * self.e_b:
             raise ValueError("e_b inconsistent with kappa")
-
-
-class KernelFactory:
-    """K(kappa) over one grid and Bloch vector.  Each call assembles a new
-    matrix, so a matrix a caller holds is never overwritten.  A periodic
-    grid's displacement classes (DisplacementPlan) are found once, here,
-    and every call evaluates the kernel once per class."""
-
-    def __init__(self, grid: Grid, bloch_k=None):
-        self.grid = grid
-        self.bloch_k = None if bloch_k is None else np.asarray(bloch_k, float)
-        self.plan = DisplacementPlan(grid) if grid.periodic_axes else None
-
-    def __call__(self, kappa: float) -> np.ndarray:
-        if self.plan is None:
-            return assemble_kernel(self.grid, kappa, self.bloch_k)
-        return self.plan.kernel(kappa, self.bloch_k)
 
 
 def _fix_phase(vecs: np.ndarray) -> np.ndarray:
@@ -305,13 +288,14 @@ class TopEigenSolver:
 
     def __init__(self, grid: Grid, m: int, bloch_k=None):
         self.m = m
+        self.grid = grid
+        self.bloch_k = bloch_k
         self.blocks = _OhBlocks.of(grid) if bloch_k is None else None
-        self.kernel = KernelFactory(grid, bloch_k) if self.blocks is None else None
 
     def __call__(self, kappa: float) -> tuple:
         if self.blocks is not None:
             return self.blocks.spectrum(kappa, self.m)
-        mat = self.kernel(kappa)
+        mat = assemble_kernel(self.grid, kappa, self.bloch_k)
         n = mat.shape[0]
         m = min(self.m, n)
         vals, vecs = eigh(mat, subset_by_index=[n - m, n - 1])
@@ -496,10 +480,13 @@ def finite_lifetime(
     1/T = (sum_i |psi_i|^2 a0^3) * 4 pi hbar sum(n Im[b]) / (m_n V_cell);
     psi is taken at face value as the all-space-normalized amplitude, so a
     state fully contained in the crystal decays at exactly the bulk rate.
-    Returns math.inf when the composition has no absorption channel.
+    Returns math.inf when the composition has no absorption channel, and
+    raises GeometryMismatch for a state from another grid.
     """
     from .bulk import bulk_properties
 
+    if state.grid_signature != grid.signature():
+        raise GeometryMismatch("state comes from a different grid")
     table = table or default_table()
     weight = float(np.sum(np.abs(state.psi) ** 2)) * grid.cell_weight
     try:
@@ -516,86 +503,60 @@ def exterior_weight(
 
     The reconstructed field is integrated from one half-cell beyond the
     outermost sources outward (the crystal proper is the union of grid
-    cells), with an exponential radial substitution matched to the state's
-    decay constant.  Used to rescale grid-normalized states to an all-space
-    normalization for reported lifetimes.
+    cells).  Surface sample j of the shape covers the ray offsets[j] +
+    r normals[j], r >= r0, with volume element weights[j] r^power dr; each
+    ray takes a 24-node exponential substitution matched to the rate at
+    which the state decays along it.  Used to rescale grid-normalized
+    states to an all-space normalization for reported lifetimes.
     """
-    spec = grid.spec
+    spec, a0 = grid.spec, grid.spacing
     if spec is None:
         raise ValueError("exterior integration needs a shape-tagged grid")
-    kappa = state.kappa
-    a0 = grid.spacing
     scale, _ = reconstruction_scale(state, grid, coupling)
-    nodes_r, wts_r = leggauss(24)
-    s_nodes = 0.5 * (nodes_r + 1.0)
-    s_wts = 0.5 * wts_r
-
-    k = np.zeros(3) if state.bloch_k is None else np.asarray(state.bloch_k)
-
-    if spec.shape == SPHERE:
-        r_in = spec.size_nm + 0.5 * a0
+    phi = (np.arange(32) + 0.5) * (2 * math.pi / 32)
+    rate = state.kappa
+    if spec.shape == SPHERE:  # 16 Gauss-Legendre polar x 32 azimuthal directions
         mu, w_mu = leggauss(16)
-        phi = (np.arange(32) + 0.5) * (2 * math.pi / 32)
-        w_phi = 2 * math.pi / 32
-        r = r_in - np.log(s_nodes) / (2 * kappa)
-        jac = 1.0 / (2 * kappa * s_nodes)
-        st = np.sqrt(1 - mu * mu)
-        dirs = np.stack(
-            [
-                np.outer(st, np.cos(phi)),
-                np.outer(st, np.sin(phi)),
-                np.broadcast_to(mu[:, None], (16, 32)).copy(),
-            ],
-            axis=-1,
-        ).reshape(-1, 3)
-        w_ang = np.repeat(w_mu, 32) * w_phi
-        pts = (r[:, None, None] * dirs[None, :, :]).reshape(-1, 3)
-        vals = _field_at(pts, state, grid, scale)
-        dens = (np.abs(vals) ** 2).reshape(len(r), -1)
-        radial = dens @ w_ang
-        return float(np.sum(s_wts * jac * r * r * radial))
-
-    if spec.shape == SLAB:
-        t_half = spec.size_nm / 2.0
-        beta = math.sqrt(kappa**2 + float(k[0] ** 2 + k[1] ** 2))
-        (ax_a, p_a), (ax_b, p_b) = grid.periodic_axes
-        n_ip = 4
-        u = (np.arange(n_ip) + 0.5) / n_ip
-        ux, uy = np.meshgrid(u * p_a, u * p_b, indexing="ij")
-        w_ip = (p_a / n_ip) * (p_b / n_ip)
-        total = 0.0
-        for side in (+1.0, -1.0):
-            z = side * (t_half - np.log(s_nodes) / (2 * beta))
-            jac = 1.0 / (2 * beta * s_nodes)
-            pts = np.zeros((len(z), n_ip * n_ip, 3))
-            pts[..., 0] = ux.ravel()[None, :]
-            pts[..., 1] = uy.ravel()[None, :]
-            pts[..., 2] = z[:, None]
-            vals = _field_at(pts.reshape(-1, 3), state, grid, scale)
-            dens = (np.abs(vals) ** 2).reshape(len(z), -1).sum(axis=1) * w_ip
-            total += float(np.sum(s_wts * jac * dens))
-        return total
-
-    if spec.shape == CYLINDER:
-        rho_in = spec.size_nm + 0.5 * a0
+        st = np.sqrt(1 - mu * mu)[:, None]
+        normals = np.zeros((16, 32, 3))
+        normals[..., 0] = st * np.cos(phi)
+        normals[..., 1] = st * np.sin(phi)
+        normals[..., 2] = mu[:, None]
+        offsets = np.zeros_like(normals)
+        weights = np.repeat(w_mu, 32) * (2 * math.pi / 32)
+        r0, power = spec.size_nm + 0.5 * a0, 2
+    elif spec.shape == CYLINDER:  # 32 azimuthal directions x 4 heights in a period
         (axis, period), = grid.periodic_axes
-        n_z = 4
-        zs = (np.arange(n_z) + 0.5) / n_z * period
-        w_z = period / n_z
-        phi = (np.arange(32) + 0.5) * (2 * math.pi / 32)
-        w_phi = 2 * math.pi / 32
-        rho = rho_in - np.log(s_nodes) / (2 * kappa)
-        jac = 1.0 / (2 * kappa * s_nodes)
         trans = [a for a in range(3) if a != axis]
-        pts = np.zeros((len(rho), 32, n_z, 3))
-        pts[..., trans[0]] = (rho[:, None] * np.cos(phi)[None, :])[:, :, None]
-        pts[..., trans[1]] = (rho[:, None] * np.sin(phi)[None, :])[:, :, None]
-        pts[..., axis] = zs[None, None, :]
-        vals = _field_at(pts.reshape(-1, 3), state, grid, scale)
-        dens = (np.abs(vals) ** 2).reshape(len(rho), -1).sum(axis=1) * w_phi * w_z
-        return float(np.sum(s_wts * jac * rho * dens))
-
-    raise ValueError(f"unsupported shape {spec.shape!r}")
+        normals = np.zeros((32, 4, 3))
+        normals[..., trans[0]] = np.cos(phi)[:, None]
+        normals[..., trans[1]] = np.sin(phi)[:, None]
+        offsets = np.zeros((32, 4, 3))
+        offsets[..., axis] = (np.arange(4) + 0.5) / 4 * period
+        weights = np.full(128, (2 * math.pi / 32) * (period / 4))
+        r0, power = spec.size_nm + 0.5 * a0, 1
+    elif spec.shape == SLAB:  # both faces x 4 x 4 in-plane points of a cell
+        (_, p_a), (_, p_b) = grid.periodic_axes
+        u = (np.arange(4) + 0.5) / 4
+        offsets = np.zeros((2, 4, 4, 3))
+        offsets[..., 0] = (u * p_a)[:, None]
+        offsets[..., 1] = u * p_b
+        normals = np.zeros((2, 4, 4, 3))
+        normals[..., 2] = np.array([1.0, -1.0])[:, None, None]
+        weights = np.full(32, (p_a / 4) * (p_b / 4))
+        # a Bloch state decays across the film at sqrt(kappa^2 + k_par^2)
+        k = np.zeros(2) if state.bloch_k is None else np.asarray(state.bloch_k)[:2]
+        rate = math.sqrt(rate**2 + float(k[0] ** 2 + k[1] ** 2))
+        r0, power = spec.size_nm / 2.0, 0
+    else:
+        raise ValueError(f"unsupported shape {spec.shape!r}")
+    nodes, wts = leggauss(24)
+    s = 0.5 * (nodes + 1.0)
+    r = r0 - np.log(s) / (2 * rate)  # dr = ds / (2 rate s)
+    pts = offsets.reshape(-1, 3) + r[:, None, None] * normals.reshape(-1, 3)
+    dens = np.abs(_field_at(pts.reshape(-1, 3), state, grid, scale)) ** 2
+    radial = dens.reshape(len(r), -1) @ weights
+    return float(np.sum(0.5 * wts / (2 * rate * s) * r**power * radial))
 
 
 def lifetime_with_leakage(

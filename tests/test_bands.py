@@ -4,7 +4,7 @@ import pytest
 from nqdot.bands import CubicLattice, planewave_bulk_band, subband_dispersion
 from nqdot.bulk import dispersion
 from nqdot.errors import CutoffTooSmall, NoBoundState
-from nqdot.geometry import GeometrySpec
+from nqdot.geometry import GeometrySpec, Grid
 from nqdot.nuclides import CrystalComposition, NuclideTable, ScatteringEntry
 
 
@@ -76,6 +76,24 @@ def test_planewave_cutoff_guard():
     lattice = CubicLattice(a_A=4.0, basis=((("Q", None, False), (0.0, 0.0, 0.0)),))
     with pytest.raises(CutoffTooSmall):
         planewave_bulk_band(comp, lattice, np.zeros(3), g_cutoff=0, table=tbl)
+
+
+def test_wire_pair_classes_found_once_per_dispersion(lih, monkeypatch):
+    """The displacement classes belong to the grid: a dispersion over four k
+    groups the wire's pairs once, not once per k."""
+    grouping = Grid.pair_classes.func
+    calls = []
+
+    def counted(grid):
+        calls.append(grid.n_points)
+        return grouping(grid)
+
+    monkeypatch.setattr(Grid.pair_classes, "func", counted)
+    pts = subband_dispersion(
+        GeometrySpec.cylinder(25.0, 6), lih, [0.0, 0.01, 0.02, 0.04], max_states=2
+    )
+    assert {p.k for p in pts} == {0.0, 0.01, 0.02, 0.04}
+    assert calls == [113]
 
 
 def test_subband_energies_are_real(lih):

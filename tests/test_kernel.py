@@ -4,12 +4,7 @@ import numpy as np
 import pytest
 
 from nqdot.geometry import GeometrySpec, Grid, build_grid
-from nqdot.kernel import (
-    DisplacementPlan,
-    assemble_kernel,
-    assemble_kernel_direct,
-    kernel_block,
-)
+from nqdot.kernel import assemble_kernel, assemble_kernel_direct, kernel_block
 from nqdot.solver import Coupling, _BranchValues
 
 
@@ -125,11 +120,12 @@ def test_displacement_classes_bit_identical_to_per_pair(case):
 
 
 def test_displacement_classes_deduplicate_lattice_wire():
-    plan = DisplacementPlan(build_grid(GeometrySpec.cylinder(25.0, 10)))
-    assert plan.index.shape == (317, 317)
-    assert plan.index.size == 100_489
-    assert len(plan) == 1241
-    assert np.array_equal(np.unique(plan.index), np.arange(1241))
+    grid = build_grid(GeometrySpec.cylinder(25.0, 10))
+    index, displacements, _self_pair = grid.pair_classes
+    assert index.shape == (317, 317)
+    assert index.size == 100_489
+    assert len(displacements) == 1241
+    assert np.array_equal(np.unique(index), np.arange(1241))
 
 
 @pytest.mark.parametrize(
@@ -148,8 +144,8 @@ def test_displacement_classes_do_not_merge_one_ulp(periodic_axes, axis, bloch_k)
     d_a, d_b = pts[1] - pts[0], pts[3] - pts[2]
     assert d_a[axis] != d_b[axis]
     assert np.array_equal(np.delete(d_a, axis), np.delete(d_b, axis))
-    plan = DisplacementPlan(grid)
-    assert plan.index[1, 0] != plan.index[3, 2]
+    index = grid.pair_classes[0]
+    assert index[1, 0] != index[3, 2]
     for k in (np.zeros(3), np.array(bloch_k, float)):
         assert np.array_equal(assemble_kernel(grid, 0.8, k), per_pair_kernel(grid, 0.8, k))
 

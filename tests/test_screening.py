@@ -6,7 +6,6 @@ import pytest
 from nqdot.errors import SchemaViolation
 from nqdot.screening import (
     ScreenResult,
-    ScreeningRules,
     ingest_records,
     pareto_frontier,
     screen_materials,
@@ -90,14 +89,13 @@ def test_screen_sample_dataset(table):
 def test_screen_survivors_satisfy_product_identity(table):
     from nqdot.constants import HBAR_UEV_MS
     from nqdot.nuclides import CrystalComposition
-    from nqdot.screening import _resolve_species, ScreeningRules
+    from nqdot.screening import _resolve_species
 
     records = ingest_records(SAMPLE)
-    rules = ScreeningRules()
-    report = screen_materials(records, rules, table)
+    report = screen_materials(records, table)
     recs = {r.id: r for r in records}
     for res in report.results:
-        species = _resolve_species(recs[res.id], rules)
+        species = _resolve_species(recs[res.id])
         comp = CrystalComposition(res.formula, species, recs[res.id].cell_volume_A3)
         sum_re, sum_im = table.composition_sums(comp)
         assert sum_re < 0

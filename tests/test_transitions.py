@@ -7,6 +7,7 @@ from nqdot.errors import GeometryMismatch, StepTooCoarse, ZeroDrive
 from nqdot.geometry import GeometrySpec, build_grid
 from nqdot.solver import (
     Coupling,
+    finite_lifetime,
     lifetime_with_leakage,
     reconstruct_wavefunction,
     solve_bound_states,
@@ -107,6 +108,8 @@ def test_state_of_another_grid_with_equal_size_is_refused(r30_div8, lih):
         reconstruct_wavefunction(states[0], other, coupling, [[50.3, 0.37, 0.21]])
     with pytest.raises(GeometryMismatch):
         lifetime_with_leakage(states[0], other, lih, coupling)
+    with pytest.raises(GeometryMismatch):
+        finite_lifetime(states[0], other, lih)
     with pytest.raises(GeometryMismatch):
         dipole_element(states[0], states[1], other, coupling)
 
