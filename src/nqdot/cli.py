@@ -611,10 +611,7 @@ def main(argv=None) -> int:
         _write_sidecar(out_path, config, argv)
         print(f"wrote {out_path}")
         return 0
-    except SystemExit2 as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (FileNotFoundError, SchemaViolation, ValueError) as exc:
+    except (SystemExit2, FileNotFoundError, SchemaViolation, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except NonConvergedEigensolve as exc:

@@ -48,7 +48,8 @@ class NonConvergedEigensolve(NqdotError):
 
 
 class EvalTooCloseToSource(NqdotError):
-    """Wavefunction evaluation point sits on top of a grid source."""
+    """A kernel target lies within a0/10 of a grid source (on periodic axes,
+    of its nearest image) and is not marked as that source's self pair."""
 
 
 class GeometryMismatch(NqdotError):

@@ -31,7 +31,7 @@ from typing import Optional
 import numpy as np
 from scipy.special import erfc, erfcx, k0e
 
-from .errors import UnboundedImageSet
+from .errors import EvalTooCloseToSource, UnboundedImageSet
 from .geometry import Grid, periodic_displacements
 
 _SPECTRAL_TOL = 1e-13  # relative truncation target for resummed series
@@ -147,6 +147,8 @@ def slab_kernel_block(
     ry = dy[..., None] + ly
     rr = np.sqrt(rx * rx + ry * ry + dz[..., None] ** 2)
 
+    # only self pairs reach r = 0: kernel_block keeps every other pair
+    # a0/10 clear of every image
     zero_r = rr < 1e-12 * period
     rr_safe = np.where(zero_r, 1.0, rr)
     phi1 = yukawa_short(rr_safe, kappa, eta)
@@ -242,8 +244,6 @@ def wire_kernel_block(
         for mi, ni in idx:
             dzk = dz[mi, ni] + shifts
             rr = np.hypot(rho[mi, ni], dzk)
-            if np.any(rr < 1e-12 * period):
-                raise ValueError("coincident pair outside the diagonal mask")
             vals = np.exp(-kappa * rr) / rr
             if abs(bloch_k) < 1e-300:
                 out[mi, ni] = vals.sum()
@@ -281,6 +281,19 @@ def _maybe_real(mat: np.ndarray) -> np.ndarray:
     return mat
 
 
+def _require_clearance(r: np.ndarray, grid: Grid, self_mask) -> None:
+    """Raise EvalTooCloseToSource for a pair closer than a0/10 that
+    self_mask does not mark."""
+    near = r < grid.spacing / 10.0
+    if self_mask is not None:
+        near &= ~self_mask
+    if np.any(near):
+        raise EvalTooCloseToSource(
+            f"target {float(r[near].min()):.3g} nm from a source, below "
+            f"a0/10 = {grid.spacing / 10:.3g} nm"
+        )
+
+
 def kernel_block(
     targets: np.ndarray,
     grid: Grid,
@@ -290,8 +303,11 @@ def kernel_block(
 ) -> np.ndarray:
     """Kernel values between arbitrary target points and the grid sources.
 
-    self_mask marks (target, source) pairs that coincide exactly; their
-    L = 0 term is excluded (aperiodic: entry is 0; periodic: self-image sum).
+    One near-source rule on every grid: a (target, source) pair marked in
+    self_mask is a site with itself and drops its L = 0 term (aperiodic:
+    the entry is 0; periodic: the self-image sum).  Any other pair closer
+    than a0/10, measured on periodic axes to the nearest image of the
+    source, raises EvalTooCloseToSource.
     """
     if kappa <= 0:
         raise ValueError("kappa must be > 0")
@@ -301,25 +317,35 @@ def kernel_block(
 
     if n_periodic == 0:
         # |t - s|^2 via the Gram expansion: one GEMM instead of an (M, N, 3)
-        # broadcast; the clip absorbs last-bit negatives.  The coincidence
-        # threshold sits far above the Gram rounding fuzz (~1e-8 x |r|^2)
-        # and far below the a0/10 clearance the evaluation paths enforce.
+        # broadcast, worked in place so a block holds at most two (M, N)
+        # arrays; the clip absorbs last-bit negatives.  Its rounding fuzz
+        # (~1e-16 x |r|^2) sits far below the a0/10 clearance.
+        gram2 = targets @ sources.T
+        gram2 *= 2.0
         t2 = np.einsum("ij,ij->i", targets, targets)
         s2 = np.einsum("ij,ij->i", sources, sources)
-        r2 = t2[:, None] + s2[None, :] - 2.0 * (targets @ sources.T)
-        np.maximum(r2, 0.0, out=r2)
-        r = np.sqrt(r2, out=r2)
-        zero = r < grid.spacing / 30.0
-        if self_mask is None:
-            mask = zero
-        else:
-            if np.any(zero & ~self_mask):
-                raise ValueError("coincident pair outside the diagonal mask")
-            mask = zero | self_mask
-        r_safe = np.where(mask, np.inf, r)
-        out = np.exp(-kappa * r_safe)
-        out /= r_safe
+        r = t2[:, None] + s2[None, :]
+        r -= gram2
+        del gram2
+        np.maximum(r, 0.0, out=r)
+        np.sqrt(r, out=r)
+        _require_clearance(r, grid, self_mask)
+        if self_mask is not None:
+            np.copyto(r, np.inf, where=self_mask)
+        out = np.multiply(r, -kappa)
+        np.exp(out, out=out)
+        out /= r
         return out
+
+    # minimum-image distance, one axis at a time
+    periods = dict(grid.periodic_axes)
+    r2 = np.zeros((len(targets), len(sources)))
+    for axis in range(3):
+        d = targets[:, axis, None] - sources[None, :, axis]
+        if axis in periods:
+            d -= periods[axis] * np.round(d / periods[axis])
+        r2 += d * d
+    _require_clearance(np.sqrt(r2), grid, self_mask)
 
     if n_periodic == 1:
         (axis, period), = grid.periodic_axes
@@ -329,13 +355,11 @@ def kernel_block(
             )
         )
 
-    axes = tuple(a for a, _ in grid.periodic_axes)
-    if axes != (0, 1):
+    if tuple(periods) != (0, 1):
         raise ValueError("two periodic axes must be x and y")
-    periods = tuple(p for _, p in grid.periodic_axes)
     k2 = np.array([k[0], k[1]])
     return _maybe_real(
-        slab_kernel_block(targets, sources, kappa, periods, k2, self_mask)
+        slab_kernel_block(targets, sources, kappa, tuple(periods.values()), k2, self_mask)
     )
 
 

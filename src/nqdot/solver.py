@@ -34,12 +34,7 @@ from numpy.polynomial.legendre import leggauss
 from scipy.linalg import eigh
 
 from .constants import HBAR2_OVER_2MN
-from .errors import (
-    EvalTooCloseToSource,
-    GeometryMismatch,
-    NonConvergedEigensolve,
-    ZeroAbsorption,
-)
+from .errors import GeometryMismatch, NonConvergedEigensolve, ZeroAbsorption
 from .geometry import CYLINDER, SLAB, SPHERE, Grid
 from .kernel import assemble_kernel, kernel_block
 from .nuclides import CrystalComposition, NuclideTable, default_table
@@ -48,6 +43,7 @@ ENERGY_FLOOR_UEV = 1e-4  # states shallower than this are not searched for
 KAPPA_REL_TOL = 1e-9  # bracket width that ends a root: |1 - lambda| lands near 1e-10
 LAMBDA_TOL = 5e-7
 DEGENERATE_BRANCH_TOL = 1e-9  # branches this close at a root are one level
+KERNEL_ROWS = 512  # target rows per kernel block when applying K off the matrix
 
 
 @dataclass(frozen=True)
@@ -211,6 +207,7 @@ class _OhBlocks:
     def __init__(self, grid: Grid, site_perms: np.ndarray):
         self.grid = grid
         self.reps = np.unique(site_perms.min(axis=0))
+        self.rep_self = self.reps[:, None] == np.arange(grid.n_points)
         self.images = site_perms[:, self.reps].T  # (orbits, 48): site of g rep
         stabilizer = (self.images == self.reps[:, None]).astype(float)
         irreps = _oh_group()[2]
@@ -248,7 +245,7 @@ class _OhBlocks:
         counted d times, with its d partner states (columns; row a of the
         irrep in column a) and irrep names."""
         n_orb = len(self.reps)
-        rows = kernel_block(self.grid.points[self.reps], self.grid, kappa)
+        rows = kernel_block(self.grid.points[self.reps], self.grid, kappa, self_mask=self.rep_self)
         # folded[j k, (irrep, b, c)] = (d/48) sum_g D_bc(g) K[rep_j, g rep_k]
         folded = rows[:, self.images].reshape(n_orb * n_orb, 48) @ self.coef
         col, found = 0, []  # found: (value, irrep index, block eigenvector)
@@ -337,14 +334,13 @@ def solve_bound_states(
     coupling: Coupling,
     max_states: int = 12,
     bloch_k=None,
-    kappa_range: Optional[tuple] = None,
 ) -> list:
     """All bound states with E_b above the energy floor, deepest first.
 
-    kappa_range = (lo, hi) defaults to (kappa floor, kappa*).  Returns an
-    empty list when no branch is above 1 at lo (that is the no-bound-state
-    answer, not an error).  Raises NonConvergedEigensolve when a counted
-    branch has no root below hi or its root does not converge.
+    Returns an empty list when no branch is above 1 at the kappa floor (that
+    is the no-bound-state answer, not an error).  Raises
+    NonConvergedEigensolve when a counted branch has no root below kappa* or
+    its root does not converge.
 
     Each level is one degeneracy group.  On O_h-invariant grids its members
     are its irrep's partner functions (p_x, p_y, p_z for a p level) and its
@@ -356,9 +352,7 @@ def solve_bound_states(
     # quarter to the cold start of every command, most of which never solve
     from scipy.optimize import brentq
 
-    k_lo, k_hi = kappa_range or (kappa_floor(), coupling.kappa_star)
-    if not 0 < k_lo < k_hi:
-        raise ValueError("kappa_range must satisfy 0 < lo < hi")
+    k_lo, k_hi = kappa_floor(), coupling.kappa_star
     branches = _BranchValues(grid, coupling, max_states, bloch_k)
     n_bound = int(np.count_nonzero(branches(k_lo) > 1.0))
 
@@ -512,7 +506,7 @@ def exterior_weight(
     spec, a0 = grid.spec, grid.spacing
     if spec is None:
         raise ValueError("exterior integration needs a shape-tagged grid")
-    scale, _ = reconstruction_scale(state, grid, coupling)
+    reconstruction_scale(state, grid, coupling)
     phi = (np.arange(32) + 0.5) * (2 * math.pi / 32)
     rate = state.kappa
     if spec.shape == SPHERE:  # 16 Gauss-Legendre polar x 32 azimuthal directions
@@ -554,7 +548,7 @@ def exterior_weight(
     s = 0.5 * (nodes + 1.0)
     r = r0 - np.log(s) / (2 * rate)  # dr = ds / (2 rate s)
     pts = offsets.reshape(-1, 3) + r[:, None, None] * normals.reshape(-1, 3)
-    dens = np.abs(_field_at(pts.reshape(-1, 3), state, grid, scale)) ** 2
+    dens = np.abs(_field_at(pts.reshape(-1, 3), state, grid)) ** 2
     radial = dens.reshape(len(r), -1) @ weights
     return float(np.sum(0.5 * wts / (2 * rate * s) * r**power * radial))
 
@@ -603,46 +597,23 @@ def reconstruction_scale(
     return s, rel
 
 
-def _kernel_apply(grid: Grid, kappa: float, bloch_k, vecs, targets=None, chunk=512):
-    """K(kappa) @ vecs, one block of target rows at a time, so no N x N
+def _kernel_apply(grid: Grid, kappa: float, bloch_k, vecs, targets=None):
+    """K(kappa) @ vecs, KERNEL_ROWS target rows at a time, so no N x N
     matrix is held.  Targets default to the grid sites, each with its L = 0
     self term masked as in assemble_kernel."""
     on_sites = targets is None
     targets = grid.points if on_sites else np.asarray(targets, float)
     parts = []
-    for start in range(0, len(targets), chunk):
-        rows = targets[start : start + chunk]
+    for start in range(0, len(targets), KERNEL_ROWS):
+        rows = targets[start : start + KERNEL_ROWS]
         mask = np.eye(len(rows), grid.n_points, start, dtype=bool) if on_sites else None
         parts.append(kernel_block(rows, grid, kappa, bloch_k, self_mask=mask) @ vecs)
     return np.concatenate(parts)
 
 
-def _field_at(points, state, grid, scale):
-    """Reconstructed field at arbitrary points, in bounded-memory chunks."""
-    return scale * _kernel_apply(grid, state.kappa, state.bloch_k, state.psi, points)
-
-
-def _min_source_distance(points: np.ndarray, grid: Grid, chunk=512) -> float:
-    """Smallest distance from the points to any source or periodic image.
-    The Gram expansion (aperiodic axes) plus minimum images (periodic axes)
-    picks each point's nearest source; that distance is then taken directly,
-    so Gram rounding (~1e-16 |r|^2) only decides near-ties."""
-    periodic = grid.periodic_axes
-    free = [a for a in range(3) if a not in dict(periodic)]
-    src = grid.points
-    best = math.inf
-    for start in range(0, len(points), chunk):
-        pts = points[start : start + chunk]
-        # |t|^2 is the same along a row, so the argmin does not need it
-        r2 = np.sum(src[:, free] ** 2, axis=1) - 2.0 * (pts[:, free] @ src[:, free].T)
-        for axis, period in periodic:
-            d = pts[:, axis, None] - src[:, axis]
-            r2 += (d - period * np.round(d / period)) ** 2
-        d = pts - src[np.argmin(r2, axis=1)]
-        for axis, period in periodic:
-            d[:, axis] -= period * np.round(d[:, axis] / period)
-        best = min(best, float(np.sqrt(np.min(np.sum(d * d, axis=1)))))
-    return best
+def _field_at(points, state, grid):
+    """Reconstructed field s K psi at arbitrary points, s the state's scale."""
+    return state.scale * _kernel_apply(grid, state.kappa, state.bloch_k, state.psi, points)
 
 
 def reconstruct_wavefunction(
@@ -654,14 +625,9 @@ def reconstruct_wavefunction(
     """Continuous field psi_bar(r) = s sum_i K(r, r_i) psi_i, inside or out.
 
     Eval points must keep a0/10 clearance from every source (and from every
-    periodic image of a source).
+    periodic image of a source); kernel_block raises EvalTooCloseToSource
+    otherwise.
     """
-    scale, _ = reconstruction_scale(state, grid, coupling)
+    reconstruction_scale(state, grid, coupling)
     eval_points = np.atleast_2d(np.asarray(eval_points, dtype=float))
-    min_d = _min_source_distance(eval_points, grid)
-    if min_d < grid.spacing / 10.0:
-        raise EvalTooCloseToSource(
-            f"closest evaluation-source distance {min_d:.3g} nm is below "
-            f"a0/10 = {grid.spacing / 10:.3g} nm"
-        )
-    return _field_at(eval_points, state, grid, scale)
+    return _field_at(eval_points, state, grid)

@@ -87,18 +87,19 @@ def _box_lattice(grid: Grid):
 _box_fields = weakref.WeakKeyDictionary()
 
 
-def _box_field(state: BoundState, grid: Grid, pts_int, a0, scale):
-    """State values on the box lattice: grid psi inside, reconstruction outside."""
+def _box_field(state: BoundState, grid: Grid, pts_int):
+    """State values on the box lattice: grid psi inside, reconstruction
+    outside.  The box sites inside the sphere come in the x, y, z
+    lexicographic order of the grid's own sites."""
     if state in _box_fields:
         return _box_fields[state]
     n = grid.spec.grid_div
     inside = (pts_int**2).sum(axis=1) <= n * n
-    index = {tuple(np.rint(p / a0).astype(int)): i for i, p in enumerate(grid.points)}
+    if not np.array_equal(pts_int[inside] * grid.spacing, grid.points):
+        raise GeometryMismatch("grid sites are not the sphere lattice of its spec")
     vals = np.zeros(len(pts_int), dtype=state.psi.dtype)
-    for row in np.nonzero(inside)[0]:
-        vals[row] = state.psi[index[tuple(pts_int[row])]]
-    outside_pts = pts_int[~inside] * a0
-    vals[~inside] = _field_at(outside_pts, state, grid, scale)
+    vals[inside] = state.psi
+    vals[~inside] = _field_at(pts_int[~inside] * grid.spacing, state, grid)
     _box_fields[state] = vals
     return vals
 
@@ -115,15 +116,12 @@ def dipole_element(
     solve (reconstruction_scale), cached box values or not."""
     if grid.spec is None or grid.spec.shape != SPHERE:
         raise GeometryMismatch("dipole elements are defined for sphere grids")
-    scale_m, _ = reconstruction_scale(state_m, grid, coupling)
-    scale_n, _ = reconstruction_scale(state_n, grid, coupling)
+    reconstruction_scale(state_m, grid, coupling)
+    reconstruction_scale(state_n, grid, coupling)
     a0 = grid.spacing
     pts_int, w = _box_lattice(grid)
-    f_m = _box_field(state_m, grid, pts_int, a0, scale_m)
-    if state_n is state_m:
-        f_n = f_m
-    else:
-        f_n = _box_field(state_n, grid, pts_int, a0, scale_n)
+    f_m = _box_field(state_m, grid, pts_int)
+    f_n = f_m if state_n is state_m else _box_field(state_n, grid, pts_int)
     # psi is normalized on the crystal cells only; normalizing each state
     # again over the box counts its exterior tail (the a0^3 cell volumes cancel)
     norm = math.sqrt(float(np.sum(np.abs(f_m) ** 2 * w) * np.sum(np.abs(f_n) ** 2 * w)))

@@ -9,7 +9,7 @@ from scipy.special import spherical_jn, spherical_kn
 from nqdot.constants import HBAR2_OVER_2MN
 from nqdot.errors import EvalTooCloseToSource, NonConvergedEigensolve
 from nqdot.geometry import GeometrySpec, Grid, build_grid
-from nqdot.kernel import assemble_kernel
+from nqdot.kernel import assemble_kernel, kernel_block
 from nqdot.nuclides import CrystalComposition, NuclideTable, ScatteringEntry
 from nqdot.solver import (
     BoundState,
@@ -17,7 +17,6 @@ from nqdot.solver import (
     _SHELL_FITS,
     _BranchValues,
     _kernel_apply,
-    _min_source_distance,
     _oh_group,
     exterior_weight,
     finite_lifetime,
@@ -441,25 +440,41 @@ def test_symmetry_blocks_match_dense_reference(lih):
         )
 
 
-def test_min_source_distance_matches_brute_force():
+def test_kernel_block_clearance_is_one_rule_on_every_grid():
+    """Off the self mask, a target closer than a0/10 to a source (periodic
+    axes: to its nearest image) raises, and one farther does not."""
     rng = np.random.default_rng(3)
     sphere = build_grid(GeometrySpec.sphere(30.0, 8))
     wire = build_grid(GeometrySpec.cylinder(25.0, 10))
+    slab = build_grid(GeometrySpec.slab(100.0, 40))
     sources = rng.uniform(-20.0, 20.0, (60, 3))
     sources[:, 2] = rng.uniform(0.0, 2.5, 60)  # one period, sources at many heights
     layered = Grid(points=sources, spacing=2.5, periodic_axes=((2, 2.5),))
-    for grid in (sphere, wire, layered):
-        points = rng.uniform(-40.0, 40.0, (700, 3))
-        points[:50] = grid.points[rng.integers(0, grid.n_points, 50)] + rng.normal(
-            0.0, 0.05 * grid.spacing, (50, 3)
-        )
-        d = points[:, None, :] - grid.points[None, :, :]
+    for grid in (sphere, wire, layered, slab):
+        a0 = grid.spacing
+
+        def brute(target):
+            d = target - grid.points
+            for axis, period in grid.periodic_axes:
+                d[:, axis] -= period * np.round(d[:, axis] / period)
+            return np.sqrt((d * d).sum(axis=1)).min()
+
+        shift = np.zeros(3)  # a whole number of periods away: the same images
         for axis, period in grid.periodic_axes:
-            d[..., axis] -= period * np.round(d[..., axis] / period)
-        brute = np.sqrt((d * d).sum(axis=-1)).min(axis=1)
-        fast = [_min_source_distance(p[None, :], grid) for p in points]
-        assert fast == pytest.approx(brute, rel=1e-12)
-        assert _min_source_distance(points, grid) == pytest.approx(brute.min(), rel=1e-12)
+            shift[axis] = 3 * period
+        for site in grid.points[rng.integers(0, grid.n_points, 5)]:
+            with pytest.raises(EvalTooCloseToSource):
+                kernel_block(site[None, :], grid, 0.05)
+            direction = rng.normal(size=3)
+            direction /= np.linalg.norm(direction)
+            for frac in (0.09, 0.11):
+                target = site + shift + frac * a0 * direction
+                assert brute(target) == pytest.approx(frac * a0, rel=1e-9)
+                if frac < 0.1:
+                    with pytest.raises(EvalTooCloseToSource):
+                        kernel_block(target[None, :], grid, 0.05)
+                else:
+                    assert np.all(np.isfinite(kernel_block(target[None, :], grid, 0.05)))
 
 
 def test_positive_coupling_rejected(lih):

@@ -119,9 +119,7 @@ def test_dipole_resolution_stability(lih, r40):
     grid_div 10 -> 12 is ~0.5%, i.e. two solid digits; asserted at 1.5%."""
     grid = build_grid(GeometrySpec.sphere(40.0, 12))
     coupling = Coupling.from_composition(lih, grid)
-    states = solve_bound_states(
-        grid, coupling, max_states=4, kappa_range=(0.05, coupling.kappa_star)
-    )
+    states = solve_bound_states(grid, coupling, max_states=4)
     assert [s.level_label for s in states] == ["1s", "1p", "1p", "1p"]
     D = np.array(
         [
@@ -210,9 +208,7 @@ def test_rabi_decreases_with_radius(lih, r30, r40):
         )
     grid = build_grid(GeometrySpec.sphere(60.0, 10))
     coupling = Coupling.from_composition(lih, grid)
-    states = solve_bound_states(
-        grid, coupling, max_states=4, kappa_range=(0.07, coupling.kappa_star)
-    )
+    states = solve_bound_states(grid, coupling, max_states=4)
     assert [s.level_label for s in states] == ["1s", "1p", "1p", "1p"]
     values[60.0] = abs(
         triple_rabi(states[0], states[1:4], grid, coupling, drive_for(60.0))
