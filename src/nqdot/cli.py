@@ -417,7 +417,8 @@ def cmd_wf(args, out_path):
     spec = GeometrySpec.sphere(args.radius_nm, args.grid_div)
     grid = build_grid(spec)
     coupling = Coupling.from_composition(comp, grid, table)
-    states = solve_bound_states(grid, coupling, max_states=max(args.state_index + 1, 4))
+    # room for the whole level holding state_index: no irrep has more than 3 partners
+    states = solve_bound_states(grid, coupling, max_states=args.state_index + 3)
     config = {
         "subcommand": "wf",
         "material": _resolve_material(args),
@@ -491,17 +492,17 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("dot", help="bound levels of a spherical nanocrystal")
     _add_common(p)
     p.add_argument("--radius-nm", type=float, help="sphere radius (nm)")
-    p.add_argument("--max-states", type=int, default=12, help="level search cap (count)")
+    p.add_argument("--max-states", type=int, default=12, help="states cap, whole levels (count)")
 
     p = sub.add_parser("wire", help="bound levels of a cylindrical nanowire (k = 0)")
     _add_common(p)
     p.add_argument("--radius-nm", type=float, help="cylinder radius (nm)")
-    p.add_argument("--max-states", type=int, default=8, help="level search cap (count)")
+    p.add_argument("--max-states", type=int, default=8, help="states cap, whole levels (count)")
 
     p = sub.add_parser("film", help="bound levels of a thin film (k = 0)")
     _add_common(p)
     p.add_argument("--thickness-nm", type=float, help="film thickness (nm)")
-    p.add_argument("--max-states", type=int, default=8, help="level search cap (count)")
+    p.add_argument("--max-states", type=int, default=8, help="states cap, whole levels (count)")
 
     p = sub.add_parser("bands", help="sub-band dispersions / plane-wave bulk band")
     _add_common(p)
@@ -511,7 +512,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kpoints", type=int, default=32, help="k samples along the path (count)")
     p.add_argument("--kmax", type=float, help="bulk path end (1/nm)")
     p.add_argument("--g-shells", type=int, default=3, help="reciprocal shells (count, bulk mode)")
-    p.add_argument("--max-states", type=int, default=8, help="sub-bands per k cap (count)")
+    p.add_argument("--max-states", type=int, default=8, help="sub-bands per k cap, whole levels (count)")
 
     p = sub.add_parser("rabi", help="1s-1p microwave Rabi drive and dynamics")
     _add_common(p)

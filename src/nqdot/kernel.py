@@ -154,12 +154,8 @@ def slab_kernel_block(
     phi1 = yukawa_short(rr_safe, kappa, eta)
     phi1 = np.where(zero_r, 0.0, phi1)
 
-    k_is_zero = abs(bloch_k2[0]) < 1e-300 and abs(bloch_k2[1]) < 1e-300
-    if k_is_zero:
-        real_part = phi1.sum(axis=-1)
-    else:
-        phase = np.exp(1j * (bloch_k2[0] * lx + bloch_k2[1] * ly))
-        real_part = np.einsum("mnl,l->mn", phi1, phase)
+    phase = np.exp(1j * (bloch_k2[0] * lx + bloch_k2[1] * ly))
+    real_part = np.einsum("mnl,l->mn", phi1, phase)
 
     qx, qy = _slab_recip_vectors(period, bloch_k2, eta, kappa)
     beta = np.sqrt(kappa * kappa + qx * qx + qy * qy)
@@ -167,11 +163,8 @@ def slab_kernel_block(
     # g profile depends on (beta, z); z values repeat along columns of a
     # square kernel, but keep it general and vectorize over pairs x G.
     g = _recip_profile(beta[None, None, :], dz[..., None], eta)
-    if k_is_zero:
-        recip = g.sum(axis=-1) / area
-    else:
-        ph = np.exp(1j * (qx[None, None, :] * dx[..., None] + qy[None, None, :] * dy[..., None]))
-        recip = (g * ph).sum(axis=-1) / area
+    ph = np.exp(1j * (qx[None, None, :] * dx[..., None] + qy[None, None, :] * dy[..., None]))
+    recip = (g * ph).sum(axis=-1) / area
 
     out = real_part + recip
     if exclude_self_image is not None:

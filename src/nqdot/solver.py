@@ -14,10 +14,12 @@ Branches within 1e-9 of it at the root join the level.  A root that misses
 |lambda - 1| <= LAMBDA_TOL raises NonConvergedEigensolve.  Binding energy
 follows from the root: E_b = (hbar^2/2m_n) kappa^2.
 
-Sphere grids are invariant under the 48 signed axis permutations (O_h) and
-K depends only on distance, so K(kappa) is solved one irrep block at a time
-(_OhBlocks); a level of a d-dimensional irrep is d-fold degenerate, and the
-irrep names it (A1g s, T1u p or f, Eg/T2g d, A2u/T2u f).
+Branches are counted and rooted one symmetry block at a time.  Sphere
+grids are invariant under the 48 signed axis permutations (O_h) and K
+depends only on distance, so K(kappa) splits into one block per irrep
+(_OhBlocks); a level of a d-dimensional irrep is d-fold degenerate, and
+the irrep names it (A1g s, T1u p or f, Eg/T2g d, A2u/T2u f).  Other grids
+are one block.  max_states caps the states returned at whole levels.
 """
 
 from __future__ import annotations
@@ -210,13 +212,8 @@ class _OhBlocks:
         self.rep_self = self.reps[:, None] == np.arange(grid.n_points)
         self.images = site_perms[:, self.reps].T  # (orbits, 48): site of g rep
         stabilizer = (self.images == self.reps[:, None]).astype(float)
-        irreps = _oh_group()[2]
-        # (48, 48): each irrep's (d/48) D_bc(g), one column per (irrep, b, c)
-        self.coef = np.hstack(
-            [rep.shape[1] / 48 * rep.reshape(48, -1) for _, rep in irreps]
-        )
         self.irreps = []  # (name, D, frame (orbits, d, d), flat columns that exist)
-        for name, rep in irreps:
+        for name, rep in _oh_group()[2]:
             d = rep.shape[1]
             w, v = np.linalg.eigh((d / 48) * np.einsum("og,gab->oab", stabilizer, rep))
             exists = w > 1e-9  # nonzero eigenvalues are d |stabilizer| / 48 >= 1/48
@@ -240,64 +237,62 @@ class _OhBlocks:
             site_perms[g, moved_order] = order  # g moves site i to site_perms[g, i]
         return cls(grid, site_perms)
 
-    def spectrum(self, kappa: float, m: int) -> tuple:
-        """Top m eigenvalues of K(kappa), a level of a d-dimensional irrep
-        counted d times, with its d partner states (columns; row a of the
-        irrep in column a) and irrep names."""
-        n_orb = len(self.reps)
+    def top(self, kappa: float, i: int, m: int) -> tuple:
+        """Top m eigenvalues of irrep i's block of K(kappa), descending, and
+        their block vectors as columns; a block with no rows has none."""
+        _name, rep, frame, kept = self.irreps[i]
+        d, n_orb, n = rep.shape[1], len(self.reps), len(kept)
+        m = min(m, n)
+        if not m:
+            return np.zeros(0), np.zeros((n, 0))
         rows = kernel_block(self.grid.points[self.reps], self.grid, kappa, self_mask=self.rep_self)
-        # folded[j k, (irrep, b, c)] = (d/48) sum_g D_bc(g) K[rep_j, g rep_k]
-        folded = rows[:, self.images].reshape(n_orb * n_orb, 48) @ self.coef
-        col, found = 0, []  # found: (value, irrep index, block eigenvector)
-        for i, (_name, rep, frame, kept) in enumerate(self.irreps):
-            d, n = rep.shape[1], len(kept)
-            r = folded[:, col : col + d * d].reshape(n_orb, n_orb, d, d)
-            col += d * d
-            k = min(n, -(-m // d))  # more levels of it cannot reach the top m
-            if k:
-                h = frame.transpose(0, 2, 1)[:, None] @ r @ frame[None]
-                h = h.transpose(0, 2, 1, 3).reshape(n_orb * d, -1)[np.ix_(kept, kept)]
-                vals, vecs = eigh(0.5 * (h + h.T), subset_by_index=[n - k, n - 1])
-                found += [(v, i, vecs[:, j]) for j, v in enumerate(vals)]
-        values, states, names = [], [], []
-        for v, i, x in sorted(found, key=lambda level: -level[0])[:m]:
-            name, rep, frame, kept = self.irreps[i]
-            d = rep.shape[1]
-            coords = np.zeros(n_orb * d)
-            coords[kept] = x
-            # y: coefficients on the w_b; row a at site g rep is (d/48) D(g) y
-            y = np.einsum("oba,oa->ob", frame, coords.reshape(n_orb, d))
-            at = (d / 48) * np.einsum("gab,ob->oga", rep, y).reshape(-1, d)
-            psi = [np.bincount(self.images.ravel(), a, rows.shape[1]) for a in at.T]
-            states.append(_fix_phase(np.column_stack(psi)))
-            values += [v] * d
-            names += [name] * d
-        return np.array(values[:m]), np.hstack(states)[:, :m], names[:m], None
+        # r[j, k, b, c] = (d/48) sum_g D_bc(g) K[rep_j, g rep_k]
+        coef = d / 48 * rep.reshape(48, d * d)
+        r = (rows[:, self.images] @ coef).reshape(n_orb, n_orb, d, d)
+        h = frame.transpose(0, 2, 1)[:, None] @ r @ frame[None]
+        h = h.transpose(0, 2, 1, 3).reshape(n_orb * d, -1)[np.ix_(kept, kept)]
+        vals, vecs = eigh(0.5 * (h + h.T), subset_by_index=[n - m, n - 1])
+        return vals[::-1], vecs[:, ::-1]
+
+    def partners(self, i: int, x: np.ndarray) -> np.ndarray:
+        """The d partner states of irrep i's block vector x, as columns (row
+        a of the irrep in column a)."""
+        _name, rep, frame, kept = self.irreps[i]
+        d, n_orb = rep.shape[1], len(self.reps)
+        coords = np.zeros(n_orb * d)
+        coords[kept] = x
+        # y: coefficients on the w_b; row a at site g rep is (d/48) D(g) y
+        y = np.einsum("oba,oa->ob", frame, coords.reshape(n_orb, d))
+        at = (d / 48) * np.einsum("gab,ob->oga", rep, y).reshape(-1, d)
+        psi = [np.bincount(self.images.ravel(), a, self.grid.n_points) for a in at.T]
+        return _fix_phase(np.column_stack(psi))
 
 
 class TopEigenSolver:
-    """Top-m eigenpairs of K(kappa) on one grid, one call per kappa: by O_h
-    irrep blocks on grids the 48 signed axis permutations map onto
-    themselves (every build_grid sphere), else by dense eigh.  Returns the
-    values, descending, their gauge-fixed unit states as columns, each
-    one's irrep name (None off the blocks) and, from dense eigh only, the
-    kernel times the states (the blocks hold no N x N matrix)."""
+    """Top-m eigenpairs of one symmetry block of K(kappa) per call.  blocks
+    holds each block's (irrep name, d): the O_h irreps on grids the 48
+    signed axis permutations map onto themselves (every build_grid sphere),
+    else one dense-eigh block (None, 1), whose vectors are gauge-fixed unit
+    states and which alone returns the kernel times them (the irrep blocks
+    hold no N x N matrix; _OhBlocks.partners expands their vectors)."""
 
-    def __init__(self, grid: Grid, m: int, bloch_k=None):
-        self.m = m
+    def __init__(self, grid: Grid, bloch_k=None):
         self.grid = grid
         self.bloch_k = bloch_k
-        self.blocks = _OhBlocks.of(grid) if bloch_k is None else None
+        self.oh = _OhBlocks.of(grid) if bloch_k is None else None
+        self.blocks = [(None, 1)]
+        if self.oh is not None:
+            self.blocks = [(name, rep.shape[1]) for name, rep, *_ in self.oh.irreps]
 
-    def __call__(self, kappa: float) -> tuple:
-        if self.blocks is not None:
-            return self.blocks.spectrum(kappa, self.m)
+    def __call__(self, kappa: float, block: int, m: int) -> tuple:
+        if self.oh is not None:
+            return self.oh.top(kappa, block, m) + (None,)
         mat = assemble_kernel(self.grid, kappa, self.bloch_k)
         n = mat.shape[0]
-        m = min(self.m, n)
+        m = min(m, n)
         vals, vecs = eigh(mat, subset_by_index=[n - m, n - 1])
         vecs = np.column_stack([_fix_phase(v) for v in vecs[:, ::-1].T])
-        return vals[::-1], vecs, [None] * m, mat @ vecs
+        return vals[::-1], vecs, mat @ vecs
 
 
 def kappa_floor() -> float:
@@ -306,27 +301,29 @@ def kappa_floor() -> float:
 
 
 class _BranchValues:
-    """The m largest eigenvalues of -c K(kappa), descending.  Each kappa's
-    spectrum, states included, is memoized: no kappa is diagonalized twice
-    in one solve, and the states at a root cost no further eigen call."""
+    """Top eigenvalues of -c K(kappa) per symmetry block, descending:
+    ceil(max_states / d) + 1 for d-fold levels, so a level running past the
+    cap shows.  Memoized per (kappa, block): none is diagonalized twice in
+    one solve, and the vectors at a root cost no further eigen call."""
 
-    def __init__(self, grid: Grid, coupling: Coupling, m: int, bloch_k=None):
-        self.eigen = TopEigenSolver(grid, m, bloch_k)
+    def __init__(self, grid: Grid, coupling: Coupling, max_states: int, bloch_k=None):
+        self.eigen = TopEigenSolver(grid, bloch_k)
+        self.sizes = [-(-max_states // d) + 1 for _name, d in self.eigen.blocks]
         self.strength = -coupling.c
         self._memo = {}
 
-    def spectrum(self, kappa: float) -> tuple:
-        kappa = float(kappa)
-        if kappa not in self._memo:
-            self._memo[kappa] = self.eigen(kappa)
-        return self._memo[kappa]
+    def spectrum(self, kappa: float, block: int) -> tuple:
+        key = (float(kappa), block)
+        if key not in self._memo:
+            self._memo[key] = self.eigen(key[0], block, self.sizes[block])
+        return self._memo[key]
 
-    def __call__(self, kappa: float) -> np.ndarray:
-        return self.strength * self.spectrum(kappa)[0]
+    def __call__(self, kappa: float, block: int) -> np.ndarray:
+        return self.strength * self.spectrum(kappa, block)[0]
 
 
-def _branch_excess(kappa: float, branches: _BranchValues, b: int) -> float:
-    return branches(kappa)[b] - 1.0
+def _branch_excess(kappa: float, branches: _BranchValues, block: int, b: int) -> float:
+    return branches(kappa, block)[b] - 1.0
 
 
 def solve_bound_states(
@@ -335,16 +332,19 @@ def solve_bound_states(
     max_states: int = 12,
     bloch_k=None,
 ) -> list:
-    """All bound states with E_b above the energy floor, deepest first.
+    """Bound states with E_b above the energy floor, deepest first, in whole
+    levels: the deepest levels that hold at most max_states states together.
 
     Returns an empty list when no branch is above 1 at the kappa floor (that
     is the no-bound-state answer, not an error).  Raises
     NonConvergedEigensolve when a counted branch has no root below kappa* or
     its root does not converge.
 
-    Each level is one degeneracy group.  On O_h-invariant grids its members
-    are its irrep's partner functions (p_x, p_y, p_z for a p level) and its
-    label comes from the irrep (_level_label); other grids label sb0, sb1...
+    Levels are counted and rooted one symmetry block at a time, then merged
+    by kappa; each is one degeneracy group.  On O_h-invariant grids its
+    members are its irrep's partner functions (p_x, p_y, p_z for a p level)
+    and its label comes from the irrep (_level_label); other grids label
+    sb0, sb1...
     """
     if coupling.c >= 0:
         raise ValueError("solve_bound_states requires c < 0")
@@ -354,58 +354,63 @@ def solve_bound_states(
 
     k_lo, k_hi = kappa_floor(), coupling.kappa_star
     branches = _BranchValues(grid, coupling, max_states, bloch_k)
-    n_bound = int(np.count_nonzero(branches(k_lo) > 1.0))
-
-    levels = []  # (kappa_root, [branch indices]), deepest first
-    b = 0
-    while b < n_bound:
-        if branches(k_hi)[b] >= 1.0:
-            raise NonConvergedEigensolve(
-                f"branch {b} is still above 1 at kappa = {k_hi:.6g}/nm: "
-                "its root lies outside the bracket"
+    levels = []  # (kappa_root, block, [branch indices in the block])
+    for block, (name, _d) in enumerate(branches.eigen.blocks):
+        n_bound = int(np.count_nonzero(branches(k_lo, block) > 1.0))
+        b = 0
+        while b < n_bound:
+            branch = f"branch {b}" if name is None else f"{name} branch {b}"
+            if branches(k_hi, block)[b] >= 1.0:
+                raise NonConvergedEigensolve(
+                    f"{branch} is still above 1 at kappa = {k_hi:.6g}/nm: "
+                    "its root lies outside the bracket"
+                )
+            # branches goes in through args, not a closure: brentq wraps f in
+            # a self-referencing closure, so whatever f closes over would
+            # outlive the solve until the next full gc
+            kappa, info = brentq(
+                _branch_excess,
+                k_lo,
+                k_hi,
+                args=(branches, block, b),
+                rtol=KAPPA_REL_TOL,
+                full_output=True,
+                disp=False,
             )
-        # branches goes in through args, not a closure: brentq wraps f in a
-        # self-referencing closure, so whatever f closes over would outlive
-        # the solve until the next full gc
-        kappa, info = brentq(
-            _branch_excess,
-            k_lo,
-            k_hi,
-            args=(branches, b),
-            rtol=KAPPA_REL_TOL,
-            full_output=True,
-            disp=False,
-        )
-        lam = branches(kappa)
-        if not info.converged or abs(lam[b] - 1.0) > LAMBDA_TOL:
-            raise NonConvergedEigensolve(
-                f"branch {b}: |lambda - 1| = {abs(lam[b] - 1.0):.3e} at "
-                f"kappa = {kappa:.9g}/nm after {info.iterations} root steps "
-                f"(converged: {info.converged})"
-            )
-        members = [
-            j for j in range(b, n_bound) if abs(lam[j] - lam[b]) <= DEGENERATE_BRANCH_TOL
-        ]
-        levels.append((kappa, members))
-        b = members[-1] + 1
+            lam = branches(kappa, block)
+            if not info.converged or abs(lam[b] - 1.0) > LAMBDA_TOL:
+                raise NonConvergedEigensolve(
+                    f"{branch}: |lambda - 1| = {abs(lam[b] - 1.0):.3e} at "
+                    f"kappa = {kappa:.9g}/nm after {info.iterations} root steps "
+                    f"(converged: {info.converged})"
+                )
+            members = [
+                j for j in range(b, n_bound) if abs(lam[j] - lam[b]) <= DEGENERATE_BRANCH_TOL
+            ]
+            levels.append((kappa, block, members))
+            b = members[-1] + 1
     levels.sort(key=lambda level: -level[0])
 
     states = []
     named = []  # (irrep, ell) of each level so far, for radial ranks
-    for group, (kappa_root, members) in enumerate(levels):
-        _values, vecs, irreps, k_vecs = branches.spectrum(kappa_root)
-        units = vecs[:, members]
+    for group, (kappa_root, block, members) in enumerate(levels):
+        irrep, d = branches.eigen.blocks[block]
+        if len(states) + d * len(members) > max_states:
+            break
+        _values, vecs, k_vecs = branches.spectrum(kappa_root, block)
         if k_vecs is None:
+            oh = branches.eigen.oh
+            units = np.hstack([oh.partners(block, x) for x in vecs[:, members].T])
             k_units = _kernel_apply(grid, kappa_root, bloch_k, units)
         else:
-            k_units = k_vecs[:, members]
+            units, k_units = vecs[:, members], k_vecs[:, members]
         residuals = np.linalg.norm(units + coupling.c * k_units, axis=0)
         scales = [
             np.real(np.vdot(kv, v)) / np.real(np.vdot(kv, kv))
             for v, kv in zip(units.T, k_units.T)
         ]
-        label = _level_label(irreps[members[0]], units[:, 0], grid, group, named)
-        for j in range(len(members)):
+        label = _level_label(irrep, units[:, 0], grid, group, named)
+        for j in range(units.shape[1]):
             states.append(
                 BoundState(
                     kappa=kappa_root,
@@ -451,11 +456,12 @@ def _level_label(irrep, row1: np.ndarray, grid: Grid, group: int, named: list) -
 
 
 def has_bound_state(grid: Grid, coupling: Coupling, bloch_k=None) -> bool:
-    """Existence test: top branch above 1 at the kappa floor, the count
-    solve_bound_states starts from."""
+    """Existence test: the top branch of block 0 above 1 at the kappa
+    floor.  On O_h grids block 0 is A1g, which holds the positive Perron
+    vector, so that branch is the top one of the whole kernel."""
     if coupling.c >= 0:
         return False
-    return bool(_BranchValues(grid, coupling, 1, bloch_k)(kappa_floor())[0] > 1.0)
+    return bool(-coupling.c * TopEigenSolver(grid, bloch_k)(kappa_floor(), 0, 1)[0][0] > 1.0)
 
 
 # ---------------------------------------------------------------------------

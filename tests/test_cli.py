@@ -82,6 +82,18 @@ def test_dot_level_table(tmp_path):
         assert float(r["lifetime_ms"]) > 0.0
 
 
+def test_dot_cap_keeps_whole_levels(tmp_path):
+    """--max-states 6 at R = 40 nm falls inside the 1d triple: the table
+    ends with the whole 1p level and writes no partial 1d row."""
+    out = tmp_path / "dot.csv"
+    assert main(
+        ["dot", "--material", "LiH", "--radius-nm", "40", "--max-states", "6",
+         "--output", str(out)]
+    ) == 0
+    _h, rows = read_rows(out)
+    assert [(r["label"], r["degeneracy"]) for r in rows] == [("1s", "1"), ("1p", "3")]
+
+
 def test_film_and_wire_tables(tmp_path):
     out = tmp_path / "film.csv"
     assert main(
@@ -137,6 +149,21 @@ def test_wf_field_plane(tmp_path):
     assert len(rows) == 121
     values = [float(r["re"]) for r in rows]
     assert all(v != 0 for v in values)
+
+
+def test_wf_state_in_a_multiplet(tmp_path):
+    """State 4 at R = 40 nm, grid_div 8 is the first member of the 1d
+    triple: the solve keeps room for that whole level."""
+    out = tmp_path / "wf.csv"
+    assert main(
+        [
+            "wf", "--material", "LiH", "--radius-nm", "40", "--grid-div", "8",
+            "--state-index", "4", "--samples", "11", "--output", str(out),
+        ]
+    ) == 0
+    assert "# no state" not in out.read_text()
+    _header, rows = read_rows(out)
+    assert len(rows) == 121
 
 
 def test_screen_artifacts(tmp_path):

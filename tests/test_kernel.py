@@ -47,6 +47,21 @@ def test_slab_kernel_bloch_matches_direct_sum():
     assert np.max(np.abs(k_fast - k_ref)) < 1e-11
 
 
+def test_slab_off_column_target_matches_direct_sum():
+    """A target off the film's site column, at k = 0: every reciprocal
+    term keeps its in-plane phase exp(i G . d)."""
+    grid = build_grid(GeometrySpec.slab(10.0, 10))
+    kappa, a0 = 0.8, grid.spacing
+    target = np.array([0.3 * a0, 0.2 * a0, 0.7 * a0])
+    shifts = np.arange(-50, 51) * a0  # exp(-kappa 50 a0) ~ 4e-18
+    lx, ly = (v.ravel() for v in np.meshgrid(shifts, shifts, indexing="ij"))
+    d = target - grid.points
+    r = np.sqrt((d[:, 0, None] + lx) ** 2 + (d[:, 1, None] + ly) ** 2 + d[:, 2, None] ** 2)
+    direct = np.sum(np.exp(-kappa * r) / r, axis=1)
+    fast = kernel_block(target[None, :], grid, kappa)[0]
+    assert np.allclose(fast, direct, rtol=1e-11, atol=0)
+
+
 @pytest.mark.parametrize("kappa", [2.0, 0.6])
 def test_wire_kernel_matches_direct_sum(kappa):
     grid = build_grid(GeometrySpec.cylinder(5.0, 5))
@@ -79,11 +94,11 @@ def test_random_periodic_grids_complex_hermitian():
     assert np.iscomplexobj(k_ref)
     assert np.max(np.abs(k_fast - k_ref)) < 1e-11
 
-    kv = np.array([0.5, -0.3, 0.0])
-    k_fast = assemble_kernel(slab, 0.8, kv)
-    k_ref = assemble_kernel_direct(slab, 0.8, kv, tol=1e-16)
-    assert np.max(np.abs(k_fast - k_ref)) < 1e-11
-    assert np.max(np.abs(k_ref - k_ref.conj().T)) < 1e-12
+    for kv in (np.zeros(3), np.array([0.5, -0.3, 0.0])):
+        k_fast = assemble_kernel(slab, 0.8, kv)
+        k_ref = assemble_kernel_direct(slab, 0.8, kv, tol=1e-16)
+        assert np.max(np.abs(k_fast - k_ref)) < 1e-11
+        assert np.max(np.abs(k_ref - k_ref.conj().T)) < 1e-12
 
 
 def per_pair_kernel(grid, kappa, bloch_k):
@@ -190,4 +205,5 @@ def test_branch_values_linear_in_coupling(lih):
     full = _BranchValues(grid, c_full, 3)
     tiny = _BranchValues(grid, c_tiny, 3)
     for kappa in np.geomspace(0.3, 0.02, 5):
-        assert np.allclose(tiny(kappa), full(kappa) * 1e-3, rtol=1e-12)
+        for block in range(len(full.eigen.blocks)):
+            assert np.allclose(tiny(kappa, block), full(kappa, block) * 1e-3, rtol=1e-12)

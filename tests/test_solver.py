@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -15,6 +16,7 @@ from nqdot.solver import (
     BoundState,
     Coupling,
     _SHELL_FITS,
+    TopEigenSolver,
     _BranchValues,
     _kernel_apply,
     _oh_group,
@@ -256,14 +258,14 @@ def test_branch_scan_existence_signals(lih):
     g30 = build_grid(GeometrySpec.sphere(30.0, 10))
     c30 = Coupling.from_composition(lih, g30)
     branches = _BranchValues(g30, c30, 1)
-    top = np.array([branches(k)[0] for k in np.geomspace(c30.kappa_star, kappa_floor(), 6)])
+    top = np.array([branches(k, 0)[0] for k in np.geomspace(c30.kappa_star, kappa_floor(), 6)])
     assert top[-1] > 1.0  # lambda_1 at the kappa floor
     assert np.count_nonzero(np.diff(np.signbit(top - 1.0))) == 1  # monotone: one root
 
     g10 = build_grid(GeometrySpec.sphere(10.0, 10))
     c10 = Coupling.from_composition(lih, g10)
     branches = _BranchValues(g10, c10, 1)
-    top = np.array([branches(k)[0] for k in np.geomspace(c10.kappa_star, kappa_floor(), 6)])
+    top = np.array([branches(k, 0)[0] for k in np.geomspace(c10.kappa_star, kappa_floor(), 6)])
     assert np.all(top < 1.0)
     assert np.count_nonzero(np.diff(np.signbit(top - 1.0))) == 0
     assert not has_bound_state(g10, c10)
@@ -289,12 +291,42 @@ def test_root_at_a_step_raises(lih, monkeypatch):
     coupling = Coupling.from_composition(lih, grid)
     kappa_0 = 0.05
 
-    def step(self, kappa):
+    def step(self, kappa, block):
         return np.array([1.5 if kappa < kappa_0 else 0.5])
 
     monkeypatch.setattr(_BranchValues, "__call__", step)
     with pytest.raises(NonConvergedEigensolve):
         solve_bound_states(grid, coupling, max_states=1)
+
+
+@pytest.mark.parametrize(
+    "spec, max_states, labels",
+    [
+        (GeometrySpec.sphere(30.0, 8), 3, ["1s"]),
+        (GeometrySpec.sphere(40.0, 8), 6, ["1s"] + ["1p"] * 3),
+        (GeometrySpec.cylinder(25.0, 10), 2, ["sb0"]),
+    ],
+    ids=["r30-p-triple", "r40-d-triple", "wire-pair"],
+)
+def test_cap_keeps_whole_levels(lih, spec, max_states, labels):
+    """A cap that falls inside a multiplet drops the whole multiplet: the
+    returned list never ends with part of a level."""
+    grid = build_grid(spec)
+    coupling = Coupling.from_composition(lih, grid)
+    states = solve_bound_states(grid, coupling, max_states=max_states)
+    assert [s.level_label for s in states] == labels
+
+
+def test_cube_grid_skips_empty_irrep_blocks():
+    """A hand-built 3 x 3 x 3 cube holds no vector of some irreps: their
+    blocks are skipped, and the one bound level is the 1s."""
+    pts = np.array(list(itertools.product((-1.0, 0.0, 1.0), repeat=3)))
+    grid = Grid(points=pts, spacing=1.0, periodic_axes=())
+    eigen = TopEigenSolver(grid)
+    assert any(len(eigen(0.5, b, 1)[0]) == 0 for b in range(len(eigen.blocks)))
+    states = solve_bound_states(grid, Coupling(c=-0.19, spacing=1.0), max_states=12)
+    assert [s.level_label for s in states] == ["1s"]
+    assert states[0].kappa == pytest.approx(0.680609211874, rel=1e-11)
 
 
 def test_r41_25_full_structure_after_lobpcg_stall(lih, lih_bulk):
@@ -405,10 +437,13 @@ def test_symmetry_blocks_match_dense_reference(lih):
     coupling = Coupling.from_composition(lih, grid)
     m = 16
     branches = _BranchValues(grid, coupling, m)
-    assert branches.eigen.blocks is not None
+    assert branches.eigen.oh is not None
     for kappa in np.geomspace(kappa_floor(), coupling.kappa_star, 5):
         dense = -coupling.c * np.linalg.eigvalsh(assemble_kernel(grid, kappa))[::-1][:m]
-        assert np.allclose(branches(kappa), dense, rtol=1e-12, atol=0)
+        merged = np.concatenate(
+            [np.repeat(branches(kappa, b), d) for b, (_n, d) in enumerate(branches.eigen.blocks)]
+        )
+        assert np.allclose(np.sort(merged)[::-1][:m], dense, rtol=1e-12, atol=0)
 
     states = solve_bound_states(grid, coupling, max_states=m)
     assert [s.level_label for s in states][:4] == ["1s", "1p", "1p", "1p"]
