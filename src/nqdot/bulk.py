@@ -22,7 +22,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.fft import irfft, rfft
 
 from .constants import (
     ABSORPTION_RATE_PER_FM_A3,
@@ -151,7 +150,7 @@ def _shell_counts(n_max: int) -> np.ndarray:
     r2 = _pair_counts(m_max)
 
     # Linear convolution support reaches 2*m_max; size the cyclic FFT past it.
-    from scipy.fft import next_fast_len
+    from scipy.fft import irfft, next_fast_len, rfft
 
     n_fft = next_fast_len(2 * m_max + 1, real=True)
     r3 = irfft(

@@ -36,7 +36,7 @@ from numpy.polynomial.legendre import leggauss
 from scipy.linalg import eigh
 
 from .constants import HBAR2_OVER_2MN
-from .errors import GeometryMismatch, NonConvergedEigensolve, ZeroAbsorption
+from .errors import EvalTooCloseToSource, GeometryMismatch, NonConvergedEigensolve, ZeroAbsorption
 from .geometry import CYLINDER, SLAB, SPHERE, Grid
 from .kernel import assemble_kernel, kernel_block
 from .nuclides import CrystalComposition, NuclideTable, default_table
@@ -45,7 +45,7 @@ ENERGY_FLOOR_UEV = 1e-4  # states shallower than this are not searched for
 KAPPA_REL_TOL = 1e-9  # bracket width that ends a root: |1 - lambda| lands near 1e-10
 LAMBDA_TOL = 5e-7
 DEGENERATE_BRANCH_TOL = 1e-9  # branches this close at a root are one level
-KERNEL_ROWS = 512  # target rows per kernel block when applying K off the matrix
+KERNEL_ROWS = 64  # target rows per kernel block off the lattice: (64, N) stays near L2 size
 
 
 @dataclass(frozen=True)
@@ -603,11 +603,80 @@ def reconstruction_scale(
     return s, rel
 
 
+def _fft_length(n: int) -> int:
+    """Smallest 2^a 3^b 5^c >= n, a length the FFT transforms fast."""
+    while True:
+        m = n
+        for p in (2, 3, 5):
+            while m % p == 0:
+                m //= p
+        if m == 1:
+            return n
+        n += 1
+
+
+def _lattice_apply(grid: Grid, kappa: float, vecs, targets):
+    """K(kappa) @ vecs at integer targets (in units of a0) of an aperiodic
+    grid whose sites are all a0 times integer vectors, by FFT convolution.
+
+    Between lattice points K depends only on the integer displacement n, as
+    f(n) = exp(-kappa a0 |n|) / (a0 |n|) with f(0) = 0 (a target on a site
+    drops that site's term, as the diagonal of assemble_kernel does), so
+    K @ v is the linear convolution of v's site cube with the cube of f.
+    Each axis is zero-padded to a 2^a 3^b 5^c length of at least the
+    targets' extent plus the sites' extent less one, which keeps the wanted
+    outputs free of wrap-around.  Columns, and the real and imaginary parts
+    of a complex one, are transformed one at a time, so temporaries stay at
+    a few cubes.
+    """
+    a0 = grid.spacing
+    sites = np.rint(grid.points / a0).astype(np.intp)
+    targets = np.asarray(targets, dtype=np.intp)
+    s_lo, s_hi = sites.min(axis=0), sites.max(axis=0)
+    t_lo, t_hi = targets.min(axis=0), targets.max(axis=0)
+    n_disp = (t_hi - t_lo) + (s_hi - s_lo) + 1  # displacements t - s per axis
+    shape = tuple(_fft_length(int(n)) for n in n_disp)
+    axes = (0, 1, 2)
+    d2 = [(np.arange(n) + lo) ** 2 for n, lo in zip(n_disp, t_lo - s_hi)]
+    r = a0 * np.sqrt(d2[0][:, None, None] + d2[1][:, None] + d2[2])
+    r[r == 0] = np.inf
+    kernel_ft = np.fft.rfftn(np.exp(-kappa * r) / r, shape, axes=axes)
+    del r
+    at_sites = tuple((sites - s_lo).T)
+    if np.unique(np.ravel_multi_index(at_sites, shape)).size < len(sites):
+        raise EvalTooCloseToSource("two grid sites coincide")
+    at_targets = tuple((targets - t_lo + (s_hi - s_lo)).T)
+    cube = np.zeros(shape)
+
+    def convolve(values):
+        cube[at_sites] = values
+        spectrum = np.fft.rfftn(cube, axes=axes)
+        spectrum *= kernel_ft
+        return np.fft.irfftn(spectrum, shape, axes=axes)[at_targets]
+
+    cols = np.asarray(vecs).reshape(len(sites), -1)
+    out = np.empty((len(targets), cols.shape[1]), dtype=np.result_type(cols, float))
+    for j, col in enumerate(cols.T):
+        out[:, j] = convolve(col.real)
+        if np.iscomplexobj(col):
+            out[:, j] += 1j * convolve(col.imag)
+    return out.reshape((len(targets),) + np.shape(vecs)[1:])
+
+
 def _kernel_apply(grid: Grid, kappa: float, bloch_k, vecs, targets=None):
-    """K(kappa) @ vecs, KERNEL_ROWS target rows at a time, so no N x N
-    matrix is held.  Targets default to the grid sites, each with its L = 0
-    self term masked as in assemble_kernel."""
+    """K(kappa) @ vecs with no N x N matrix held.  Targets default to the
+    grid sites, each with its L = 0 self term masked as in assemble_kernel.
+
+    On an aperiodic grid whose sites are all exactly a0 times integer
+    vectors (every build_grid sphere) the on-site product is one FFT
+    convolution (_lattice_apply).  Other targets, periodic grids and
+    off-lattice sites take kernel_block, KERNEL_ROWS target rows at a time.
+    """
     on_sites = targets is None
+    if on_sites and bloch_k is None and not grid.periodic_axes:
+        sites = np.rint(grid.points / grid.spacing)
+        if np.array_equal(sites * grid.spacing, grid.points):
+            return _lattice_apply(grid, kappa, vecs, sites)
     targets = grid.points if on_sites else np.asarray(targets, float)
     parts = []
     for start in range(0, len(targets), KERNEL_ROWS):

@@ -11,12 +11,14 @@ with d_mn the position matrix element between the two states.  d_mn is
 integrated on the solver lattice extended to a cube of side 3R around the
 sphere center (trapezoidal weights); the reconstructed field supplies
 values outside the crystal, and each state is normalized on that same box.
+Every box point, like every sphere site, is a0 times an integer vector, so
+the exterior values are one FFT convolution of psi with the lattice kernel
+(solver._lattice_apply), computed afresh on every call.
 """
 
 from __future__ import annotations
 
 import math
-import weakref
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -25,7 +27,7 @@ import numpy as np
 from .constants import EPS0_SI, HBAR_SI, HBAR_UEV_S, KV_PER_CM, M_N_SI, NM
 from .errors import GeometryMismatch, StepTooCoarse, ZeroDrive
 from .geometry import SPHERE, Grid
-from .solver import BoundState, Coupling, reconstruction_scale, _field_at
+from .solver import BoundState, Coupling, _lattice_apply, reconstruction_scale
 
 
 @dataclass(frozen=True)
@@ -82,25 +84,18 @@ def _box_lattice(grid: Grid):
     return pts, w
 
 
-# box values of each live state: the state fixes its grid and its scale,
-# so an entry stays valid for as long as the state exists
-_box_fields = weakref.WeakKeyDictionary()
-
-
 def _box_field(state: BoundState, grid: Grid, pts_int):
-    """State values on the box lattice: grid psi inside, reconstruction
-    outside.  The box sites inside the sphere come in the x, y, z
-    lexicographic order of the grid's own sites."""
-    if state in _box_fields:
-        return _box_fields[state]
+    """State values on the box lattice: grid psi inside, the reconstruction
+    s K psi outside, the exterior by FFT convolution on the integer lattice
+    (_lattice_apply).  The box sites inside the sphere must be the grid's
+    own sites in their x, y, z lexicographic order (GeometryMismatch)."""
     n = grid.spec.grid_div
     inside = (pts_int**2).sum(axis=1) <= n * n
     if not np.array_equal(pts_int[inside] * grid.spacing, grid.points):
         raise GeometryMismatch("grid sites are not the sphere lattice of its spec")
     vals = np.zeros(len(pts_int), dtype=state.psi.dtype)
     vals[inside] = state.psi
-    vals[~inside] = _field_at(pts_int[~inside] * grid.spacing, state, grid)
-    _box_fields[state] = vals
+    vals[~inside] = state.scale * _lattice_apply(grid, state.kappa, state.psi, pts_int[~inside])
     return vals
 
 
@@ -113,7 +108,7 @@ def dipole_element(
     """d_mn = integral psi_m* r psi_n over the 3R cube, on the a0 lattice,
     with both states normalized over that cube.  Raises GeometryMismatch for
     a state of another grid and ValueError for a coupling the states do not
-    solve (reconstruction_scale), cached box values or not."""
+    solve (reconstruction_scale)."""
     if grid.spec is None or grid.spec.shape != SPHERE:
         raise GeometryMismatch("dipole elements are defined for sphere grids")
     reconstruction_scale(state_m, grid, coupling)

@@ -617,8 +617,17 @@ def test_stored_scale_is_the_site_least_squares_match(r30, lih):
     film_states = solve_bound_states(film, Coupling.from_composition(lih, film), max_states=2)
     cases = [(s, r30.grid) for s in r30.states] + [(s, film) for s in film_states]
     assert len(cases) == len(r30.states) + 2
+    dense = {}
     for state, grid in cases:
         f = _kernel_apply(grid, state.kappa, state.bloch_k, state.psi)
+        s = np.real(np.vdot(f, state.psi)) / np.real(np.vdot(f, f))
+        assert state.scale == pytest.approx(s, rel=1e-12)
+        # and against the assembled matrix, which shares no code with the
+        # lattice FFT that _kernel_apply takes on the sphere
+        key = (grid.signature(), state.kappa)
+        if key not in dense:
+            dense = {key: assemble_kernel(grid, state.kappa, state.bloch_k)}
+        f = dense[key] @ state.psi
         s = np.real(np.vdot(f, state.psi)) / np.real(np.vdot(f, f))
         assert state.scale == pytest.approx(s, rel=1e-12)
 
@@ -670,6 +679,56 @@ def test_reconstruction_rejects_points_on_sources(r30):
     target = r30.grid.points[5] + np.array([r30.grid.spacing / 50.0, 0.0, 0.0])
     with pytest.raises(EvalTooCloseToSource):
         reconstruct_wavefunction(r30.states[0], r30.grid, r30.coupling, [target])
+
+
+def _no_kernel_block(*args, **kwargs):
+    raise AssertionError("kernel_block called on the lattice path")
+
+
+@pytest.mark.parametrize("grid_div", [8, 10])
+def test_on_site_lattice_apply_matches_assembled_kernel(grid_div, monkeypatch):
+    """On a build_grid sphere the on-site K V is an FFT convolution that
+    calls no kernel_block; it equals the assembled matrix times V for real
+    columns and for a complex one."""
+    grid = build_grid(GeometrySpec.sphere(30.0, grid_div))
+    kappa = 0.09
+    rng = np.random.default_rng(grid_div)
+    real = rng.standard_normal((grid.n_points, 3))
+    cplx = rng.standard_normal(grid.n_points) + 1j * rng.standard_normal(grid.n_points)
+    mat = assemble_kernel(grid, kappa)
+    monkeypatch.setattr("nqdot.solver.kernel_block", _no_kernel_block)
+    for v in (real, cplx):
+        expected = mat @ v
+        got = _kernel_apply(grid, kappa, None, v)
+        assert got.shape == expected.shape and got.dtype == expected.dtype
+        assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(np.abs(expected))
+
+
+@pytest.mark.parametrize("sites", ["shifted by a0/3", "half-integer"])
+def test_off_lattice_sites_take_kernel_block(sites, monkeypatch):
+    """Sites that are not a0 times integers (a sphere shifted by a0/3, and
+    the O_h-invariant half-integer sphere) are applied by kernel_block."""
+    sphere = build_grid(GeometrySpec.sphere(12.0, 6))
+    a0 = sphere.spacing
+    if sites == "half-integer":
+        ax = np.arange(-6, 6) + 0.5
+        pts = np.stack(np.meshgrid(ax, ax, ax, indexing="ij"), -1).reshape(-1, 3)
+        pts = pts[np.sum(pts**2, axis=1) <= 36] * a0
+    else:
+        pts = sphere.points + a0 / 3
+    grid = Grid(pts, a0, ())
+    v = np.random.default_rng(0).standard_normal((grid.n_points, 2))
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return kernel_block(*args, **kwargs)
+
+    monkeypatch.setattr("nqdot.solver.kernel_block", counted)
+    got = _kernel_apply(grid, 0.2, None, v)
+    assert calls
+    expected = assemble_kernel(grid, 0.2) @ v
+    assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(np.abs(expected))
 
 
 def test_kappa_floor_matches_energy_floor():

@@ -7,6 +7,7 @@ from nqdot.errors import GeometryMismatch, StepTooCoarse, ZeroDrive
 from nqdot.geometry import GeometrySpec, build_grid
 from nqdot.solver import (
     Coupling,
+    _field_at,
     finite_lifetime,
     lifetime_with_leakage,
     reconstruct_wavefunction,
@@ -14,6 +15,8 @@ from nqdot.solver import (
 )
 from nqdot.transitions import (
     DriveConfig,
+    _box_field,
+    _box_lattice,
     dipole_element,
     rabi_frequency,
     simulate_two_level,
@@ -88,13 +91,32 @@ def r30_div8(lih):
 
 
 def test_coupling_gate_survives_cached_box_field(r30_div8):
-    """A coupling the states do not solve is refused even when both states'
-    box fields are already cached from a call with the right one."""
+    """A coupling the states do not solve is refused after a call with the
+    right one: no box values are cached, and the gate runs on every call."""
     grid, coupling, states = r30_div8
     dipole_element(states[0], states[1], grid, coupling)
     wrong = Coupling(c=1.5 * coupling.c, spacing=coupling.spacing)
     with pytest.raises(ValueError, match="deviates from"):
         dipole_element(states[0], states[1], grid, wrong)
+
+
+@pytest.mark.parametrize("fixture", ["r30_div8", "r30"])
+def test_box_field_matches_direct_reconstruction(fixture, request):
+    """The box values from the lattice FFT equal the kernel_block
+    reconstruction at the exterior box points, and psi inside, at grid_div
+    8 and 10."""
+    bundle = request.getfixturevalue(fixture)
+    if fixture == "r30_div8":
+        grid, _coupling, states = bundle
+    else:
+        grid, states = bundle.grid, bundle.states
+    pts, _w = _box_lattice(grid)
+    inside = np.sum(pts**2, axis=1) <= grid.spec.grid_div**2
+    for state in states[:2]:
+        vals = _box_field(state, grid, pts)
+        direct = _field_at(pts[~inside] * grid.spacing, state, grid)
+        assert np.array_equal(vals[inside], state.psi)
+        assert np.max(np.abs(vals[~inside] - direct)) <= 1e-12 * np.max(np.abs(direct))
 
 
 def test_state_of_another_grid_with_equal_size_is_refused(r30_div8, lih):
