@@ -57,6 +57,14 @@ def _f(x) -> str:
     return format(float(x), FMT)
 
 
+def _cell(c) -> str:
+    if c is None:
+        return ""
+    if isinstance(c, bool):
+        return "true" if c else "false"
+    return c if isinstance(c, str) else _f(c)
+
+
 def _meta_lines(config: dict) -> list:
     return [
         f"# nqdot {__version__}",
@@ -71,7 +79,7 @@ def _write_csv(path: Path, config: dict, header: list, rows, marker: str = ""):
         lines.append(f"# {marker}")
     lines.append(",".join(header))
     for row in rows:
-        lines.append(",".join(str(c) if isinstance(c, str) else _f(c) for c in row))
+        lines.append(",".join(_cell(c) for c in row))
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
@@ -95,155 +103,120 @@ def _write_sidecar(out_path: Path, config: dict, argv: list):
     side.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", "utf-8")
 
 
-def _table(args) -> NuclideTable:
-    if getattr(args, "nuclide_table", None):
-        return NuclideTable.load(args.nuclide_table)
-    return default_table()
-
-
-def _resolve_material(args) -> str:
-    if getattr(args, "composition", None):
-        return args.composition
-    if getattr(args, "material", None):
-        return args.material
-    raise SystemExit2("--material or --composition is required")
-
-
 class SystemExit2(Exception):
     """Validation failure: message should name the offending flag."""
 
 
-def _level_rows(states, grid, comp, coupling, table):
-    """One row per degeneracy group: label, count, kappa, E_b, lifetime."""
-    rows = []
-    for g in sorted({s.degeneracy_group for s in states}):
-        members = [s for s in states if s.degeneracy_group == g]
-        rep = members[0]
-        lifetime = lifetime_with_leakage(rep, grid, comp, coupling, table)
-        rows.append(
-            (rep.level_label, str(len(members)), rep.kappa, rep.e_b, lifetime)
-        )
-    return rows
+def _flag(dest: str) -> str:
+    return "--" + dest.replace("_", "-")
+
+
+def _required(args, dest: str):
+    value = getattr(args, dest)
+    if value is None:
+        raise SystemExit2(f"{_flag(dest)} is required")
+    return value
+
+
+# argparse takes any int here; below these a run answers nothing, or the
+# wrong question, and would still exit 0
+LOWEST = {"max_states": 1, "kpoints": 1, "samples": 1, "state_index": 0}
+
+
+def _setup(args, material: bool = True):
+    """Check the counts, load the nuclide table and resolve the material.
+
+    Returns (config, table, comp, lattice). config holds the keys every
+    artifact shares; each handler adds its own. `format` is csv unless the
+    subcommand has a --format flag.
+    """
+    for dest, lowest in LOWEST.items():
+        if getattr(args, dest, lowest) < lowest:
+            raise SystemExit2(f"{_flag(dest)} must be at least {lowest}")
+    table = NuclideTable.load(args.nuclide_table) if args.nuclide_table else default_table()
+    config = {
+        "subcommand": args.subcommand,
+        "format": getattr(args, "format", "csv"),
+        "nuclide_table": args.nuclide_table,
+    }
+    if not material:
+        return config, table, None, None
+    config["material"] = args.composition or args.material
+    if not config["material"]:
+        raise SystemExit2("--material or --composition is required")
+    return (config, table, *load_material(config["material"]))
 
 
 # ---------------------------------------------------------------------------
-# subcommand handlers: each returns (config, writer-callback)
+# subcommand handlers: each writes its artifact and returns its config
 # ---------------------------------------------------------------------------
 
 
 def cmd_bulk(args, out_path):
-    table = _table(args)
-    comp, _ = load_material(_resolve_material(args))
-    config = {
-        "subcommand": "bulk",
-        "material": _resolve_material(args),
-        "format": args.format or "json",
-        "nuclide_table": args.nuclide_table,
-    }
+    config, table, comp, _ = _setup(args)
     try:
         bp = bulk_properties(comp, table)
     except NoBoundState as exc:
+        payload = {"material": comp.name, "bound": False, "sum_re_fm": exc.sum_re_fm}
+        columns, marker = list(payload), "no bound states: sum n Re[b] >= 0"
+    else:
+        try:
+            gain = mass_gain(comp, table)
+        except MissingDensity:
+            gain = None
         payload = {
             "material": comp.name,
-            "bound": False,
-            "sum_re_fm": exc.sum_re_fm,
+            "bound": True,
+            "e_b_star_ueV": bp.e_b_star,
+            "t_star_ms": bp.t_star,
+            "ebt_bound_ueV_ms": bp.ebt_bound,
+            "kappa_star_nm_inv": bp.kappa_star,
+            "mass_gain_percent": gain,
         }
-        if config["format"] == "json":
-            _write_json(out_path, config, payload)
-        else:
-            _write_csv(
-                out_path,
-                config,
-                ["material", "bound", "sum_re_fm"],
-                [(comp.name, "false", exc.sum_re_fm)],
-                marker="no bound states: sum n Re[b] >= 0",
-            )
-        return config
-    payload = {
-        "material": comp.name,
-        "bound": True,
-        "e_b_star_ueV": bp.e_b_star,
-        "t_star_ms": bp.t_star,
-        "ebt_bound_ueV_ms": bp.ebt_bound,
-        "kappa_star_nm_inv": bp.kappa_star,
-    }
-    try:
-        payload["mass_gain_percent"] = mass_gain(comp, table)
-    except MissingDensity:
-        payload["mass_gain_percent"] = None
+        columns, marker = [k for k in payload if k != "bound"], ""
     if config["format"] == "json":
         _write_json(out_path, config, payload)
     else:
-        keys = [k for k in payload if k != "material" and k != "bound"]
-        _write_csv(
-            out_path,
-            config,
-            ["material"] + keys,
-            [tuple([comp.name] + [payload[k] if payload[k] is not None else "" for k in keys])],
-        )
+        _write_csv(out_path, config, columns, [[payload[k] for k in columns]], marker)
     return config
 
 
-def _solve_levels(args, shape, out_path, size_flag):
-    table = _table(args)
-    comp, _ = load_material(_resolve_material(args))
-    size = getattr(args, size_flag)
-    if size is None:
-        raise SystemExit2(f"--{size_flag.replace('_', '-')} is required")
-    spec = {
-        "sphere": GeometrySpec.sphere,
-        "cylinder": GeometrySpec.cylinder,
-        "slab": GeometrySpec.slab,
-    }[shape](size, args.grid_div)
-    config = {
-        "subcommand": {"sphere": "dot", "cylinder": "wire", "slab": "film"}[shape],
-        "material": _resolve_material(args),
-        "size_nm": size,
-        "grid_div": args.grid_div,
-        "max_states": args.max_states,
-        "format": "csv",
-        "nuclide_table": args.nuclide_table,
-    }
-    header = ["label", "degeneracy", "kappa_nm_inv", "e_b_ueV", "lifetime_ms"]
-    grid = build_grid(spec)
+LEVEL_SHAPES = {  # subcommand: (geometry, size flag)
+    "dot": (GeometrySpec.sphere, "radius_nm"),
+    "wire": (GeometrySpec.cylinder, "radius_nm"),
+    "film": (GeometrySpec.slab, "thickness_nm"),
+}
+
+
+def cmd_levels(args, out_path):
+    """dot, wire and film: one row per degeneracy group."""
+    config, table, comp, _ = _setup(args)
+    shape, size_dest = LEVEL_SHAPES[args.subcommand]
+    size = _required(args, size_dest)
+    config.update(size_nm=size, grid_div=args.grid_div, max_states=args.max_states)
+    grid = build_grid(shape(size, args.grid_div))
+    states, marker = [], "no bound states"
     try:
         coupling = Coupling.from_composition(comp, grid, table)
         if coupling.c >= 0:
             raise NoBoundState(table.composition_sums(comp)[0])
         states = solve_bound_states(grid, coupling, max_states=args.max_states)
     except NoBoundState as exc:
-        _write_csv(
-            out_path,
-            config,
-            header,
-            [],
-            marker=f"no bound states: sum n Re[b] = {exc.sum_re_fm:+.6g} fm >= 0",
-        )
-        return config
-    if not states:
-        _write_csv(out_path, config, header, [], marker="no bound states")
-        return config
-    rows = _level_rows(states, grid, comp, coupling, table)
-    _write_csv(out_path, config, header, rows)
+        marker = f"no bound states: sum n Re[b] = {exc.sum_re_fm:+.6g} fm >= 0"
+    rows = []
+    for g in sorted({s.degeneracy_group for s in states}):
+        members = [s for s in states if s.degeneracy_group == g]
+        rep = members[0]
+        lifetime = lifetime_with_leakage(rep, grid, comp, coupling, table)
+        rows.append((rep.level_label, str(len(members)), rep.kappa, rep.e_b, lifetime))
+    header = ["label", "degeneracy", "kappa_nm_inv", "e_b_ueV", "lifetime_ms"]
+    _write_csv(out_path, config, header, rows, marker="" if rows else marker)
     return config
 
 
-def cmd_dot(args, out_path):
-    return _solve_levels(args, "sphere", out_path, "radius_nm")
-
-
-def cmd_wire(args, out_path):
-    return _solve_levels(args, "cylinder", out_path, "radius_nm")
-
-
-def cmd_film(args, out_path):
-    return _solve_levels(args, "slab", out_path, "thickness_nm")
-
-
 def cmd_bands(args, out_path):
-    table = _table(args)
-    comp, lattice = load_material(_resolve_material(args))
-    header = ["k_nm_inv", "subband", "energy_ueV"]
+    config, table, comp, lattice = _setup(args)
+    config["kpoints"] = args.kpoints
     if args.bulk:
         if lattice is None:
             raise SystemExit2(
@@ -251,74 +224,50 @@ def cmd_bands(args, out_path):
             )
         bp = bulk_properties(comp, table)
         k_max = args.kmax if args.kmax is not None else 2.0 * bp.kappa_star
-        ks = np.linspace(0.0, k_max, args.kpoints)
-        config = {
-            "subcommand": "bands",
-            "material": _resolve_material(args),
-            "mode": "bulk",
-            "kpoints": args.kpoints,
-            "kmax_nm_inv": k_max,
-            "g_shells": args.g_shells,
-            "format": "csv",
-            "nuclide_table": args.nuclide_table,
-        }
+        config.update(mode="bulk", kmax_nm_inv=k_max, g_shells=args.g_shells)
         rows = []
-        for k in ks:
+        for k in np.linspace(0.0, k_max, args.kpoints):
             vals = planewave_bulk_band(
                 comp, lattice, np.array([k, 0.0, 0.0]), g_cutoff=args.g_shells,
                 table=table,
             )
             rows.append((k, "0", vals[0]))
-        _write_csv(out_path, config, header, rows)
-        return config
-
-    if args.thickness_nm is not None:
-        spec = GeometrySpec.slab(args.thickness_nm, args.grid_div)
-        mode, size = "film", args.thickness_nm
-    elif args.radius_nm is not None:
-        spec = GeometrySpec.cylinder(args.radius_nm, args.grid_div)
-        mode, size = "wire", args.radius_nm
     else:
-        raise SystemExit2("bands needs --thickness-nm, --radius-nm, or --bulk")
-    config = {
-        "subcommand": "bands",
-        "material": _resolve_material(args),
-        "mode": mode,
-        "size_nm": size,
-        "grid_div": args.grid_div,
-        "kpoints": args.kpoints,
-        "max_states": args.max_states,
-        "format": "csv",
-        "nuclide_table": args.nuclide_table,
-    }
-    a0 = spec.spacing
-    ks = np.linspace(0.0, math.pi / a0, args.kpoints)
-    points = subband_dispersion(
-        spec, comp, ks, max_states=args.max_states, table=table
-    )
-    rows = [(p.k, str(p.subband_index), p.energy_ueV) for p in points]
+        if args.thickness_nm is not None:
+            spec = GeometrySpec.slab(args.thickness_nm, args.grid_div)
+            mode, size = "film", args.thickness_nm
+        elif args.radius_nm is not None:
+            spec = GeometrySpec.cylinder(args.radius_nm, args.grid_div)
+            mode, size = "wire", args.radius_nm
+        else:
+            raise SystemExit2("bands needs --thickness-nm, --radius-nm, or --bulk")
+        config.update(
+            mode=mode, size_nm=size, grid_div=args.grid_div, max_states=args.max_states
+        )
+        ks = np.linspace(0.0, math.pi / spec.spacing, args.kpoints)
+        points = subband_dispersion(
+            spec, comp, ks, max_states=args.max_states, table=table
+        )
+        rows = [(p.k, str(p.subband_index), p.energy_ueV) for p in points]
     marker = "" if rows else "no bound sub-bands in the sampled k range"
-    _write_csv(out_path, config, header, rows, marker=marker)
+    _write_csv(out_path, config, ["k_nm_inv", "subband", "energy_ueV"], rows, marker)
     return config
 
 
 def cmd_rabi(args, out_path):
-    table = _table(args)
-    comp, _ = load_material(_resolve_material(args))
-    config = {
-        "subcommand": "rabi",
-        "material": _resolve_material(args),
-        "radius_nm": args.radius_nm,
-        "grid_div": args.grid_div,
-        "voltage_v": args.voltage_v,
-        "field_kv_cm": args.field_kv_cm,
-        "periods": args.periods,
-        "sweep_radius": args.sweep_radius,
-        "format": "csv",
-        "nuclide_table": args.nuclide_table,
-    }
+    config, table, comp, _ = _setup(args)
+    config.update(
+        radius_nm=args.radius_nm,
+        grid_div=args.grid_div,
+        voltage_v=args.voltage_v,
+        field_kv_cm=args.field_kv_cm,
+        periods=args.periods,
+        sweep_radius=args.sweep_radius,
+    )
     if comp.mass_density_kg_m3 is None:
         raise SystemExit2("--material file must carry mass_density_kg_m3 for rabi")
+    if not args.periods > 0:
+        raise SystemExit2(f"--periods must be positive, got {args.periods}")
 
     def one_radius(radius):
         spec = GeometrySpec.sphere(radius, args.grid_div)
@@ -351,46 +300,45 @@ def cmd_rabi(args, out_path):
         lifetime_ms = lifetime_with_leakage(ground, grid, comp, coupling, table)
         return rabi, omegas[0], lifetime_ms
 
-    if args.sweep_radius:
-        radii = [float(r) for r in args.sweep_radius.split(",")]
-        rows = []
-        for r in radii:
-            rabi, _omega, _lt = one_radius(r)
-            rows.append((r, args.field_kv_cm, abs(rabi) / (2 * math.pi) / 1e6))
-        _write_csv(out_path, config, ["R_nm", "E0_kV_cm", "rabi_MHz"], rows)
-        return config
-
-    rabi, omega_mn, lifetime_ms = one_radius(args.radius_nm)
-    gamma = 1.0 / (lifetime_ms * 1e-3)
-    series = simulate_two_level(
-        rabi_rad_s=abs(rabi),
-        detuning_rad_s=0.0,
-        decay_rad_s=gamma,
-        t_span_s=args.periods * 2 * math.pi / abs(rabi),
-    )
-    rows = list(zip(series.t_s * 1e6, series.n_s, series.n_p))
-    config["summary"] = {
-        "rabi_MHz": abs(rabi) / (2 * math.pi) / 1e6,
-        "omega_mn_rad_s": omega_mn,
-        "lifetime_ms": lifetime_ms,
-        "rabi_lifetime_cycles": abs(rabi) * lifetime_ms * 1e-3 / (2 * math.pi),
-    }
-    _write_csv(out_path, config, ["t_us", "n_s", "n_p"], rows)
+    if args.sweep_radius is not None:
+        try:
+            radii = [float(r) for r in args.sweep_radius.split(",")]
+        except ValueError:
+            raise SystemExit2(
+                f"--sweep-radius takes comma-separated radii (nm), got {args.sweep_radius!r}"
+            ) from None
+        header = ["R_nm", "E0_kV_cm", "rabi_MHz"]
+        rows = [
+            (r, args.field_kv_cm, abs(one_radius(r)[0]) / (2 * math.pi) / 1e6)
+            for r in radii
+        ]
+    else:
+        rabi, omega_mn, lifetime_ms = one_radius(args.radius_nm)
+        series = simulate_two_level(
+            rabi_rad_s=abs(rabi),
+            detuning_rad_s=0.0,
+            decay_rad_s=1.0 / (lifetime_ms * 1e-3),
+            t_span_s=args.periods * 2 * math.pi / abs(rabi),
+        )
+        header = ["t_us", "n_s", "n_p"]
+        rows = list(zip(series.t_s * 1e6, series.n_s, series.n_p))
+        config["summary"] = {
+            "rabi_MHz": abs(rabi) / (2 * math.pi) / 1e6,
+            "omega_mn_rad_s": omega_mn,
+            "lifetime_ms": lifetime_ms,
+            "rabi_lifetime_cycles": abs(rabi) * lifetime_ms * 1e-3 / (2 * math.pi),
+        }
+    _write_csv(out_path, config, header, rows)
     return config
 
 
 def cmd_screen(args, out_path):
-    table = _table(args)
+    config, table, _, _ = _setup(args, material=False)
+    config["input"] = args.input
     records, bad_rows = ingest_records(args.input, on_error="collect")
     report = screen_materials(records, table)
-    config = {
-        "subcommand": "screen",
-        "input": args.input,
-        "format": "csv",
-        "nuclide_table": args.nuclide_table,
-    }
     rows = [
-        (r.id, r.formula, r.e_b_star_ueV, r.t_star_ms, "true" if r.pareto else "false")
+        (r.id, r.formula, r.e_b_star_ueV, r.t_star_ms, r.pareto)
         for r in report.results
     ]
     _write_csv(
@@ -399,60 +347,42 @@ def cmd_screen(args, out_path):
         ["id", "formula", "e_b_star_ueV", "t_star_ms", "pareto"],
         rows,
     )
+    lines = [f"line {line_no}: {msg}" for line_no, msg in bad_rows]
+    lines += [f"record {rec_id}: {msg}" for rec_id, msg in report.errors]
+    lines += [f"dropped {rec_id}: {reason}" for rec_id, reason in report.dropped]
     err_path = out_path.with_suffix(out_path.suffix + ".errors.txt")
-    lines = []
-    for line_no, msg in bad_rows:
-        lines.append(f"line {line_no}: {msg}")
-    for rec_id, msg in report.errors:
-        lines.append(f"record {rec_id}: {msg}")
-    for rec_id, reason in report.dropped:
-        lines.append(f"dropped {rec_id}: {reason}")
     err_path.write_text("\n".join(lines) + ("\n" if lines else ""), "utf-8")
     return config
 
 
 def cmd_wf(args, out_path):
-    table = _table(args)
-    comp, _ = load_material(_resolve_material(args))
-    spec = GeometrySpec.sphere(args.radius_nm, args.grid_div)
-    grid = build_grid(spec)
+    config, table, comp, _ = _setup(args)
+    radius = _required(args, "radius_nm")
+    config.update(
+        radius_nm=radius,
+        grid_div=args.grid_div,
+        state_index=args.state_index,
+        extent=args.extent,
+        samples=args.samples,
+    )
+    grid = build_grid(GeometrySpec.sphere(radius, args.grid_div))
     coupling = Coupling.from_composition(comp, grid, table)
     # room for the whole level holding state_index: no irrep has more than 3 partners
     states = solve_bound_states(grid, coupling, max_states=args.state_index + 3)
-    config = {
-        "subcommand": "wf",
-        "material": _resolve_material(args),
-        "radius_nm": args.radius_nm,
-        "grid_div": args.grid_div,
-        "state_index": args.state_index,
-        "extent": args.extent,
-        "samples": args.samples,
-        "format": "csv",
-        "nuclide_table": args.nuclide_table,
-    }
-    header = ["x_nm", "y_nm", "z_nm", "re", "im"]
-    if args.state_index >= len(states):
-        _write_csv(
-            out_path,
-            config,
-            header,
-            [],
-            marker=f"no state with index {args.state_index} "
-            f"({len(states)} bound states)",
-        )
-        return config
-    state = states[args.state_index]
-    half = args.extent * args.radius_nm
-    xs = np.linspace(-half, half, args.samples)
-    # plane offset keeps every sample a0/10 clear of the source lattice
-    z0 = 0.37 * grid.spacing
-    pts = np.array([[x, y, z0] for x in xs for y in xs])
-    vals = reconstruct_wavefunction(state, grid, coupling, pts)
-    vals = np.atleast_1d(vals)
-    rows = [
-        (p[0], p[1], p[2], np.real(v), np.imag(v)) for p, v in zip(pts, vals)
-    ]
-    _write_csv(out_path, config, header, rows)
+    rows, marker = [], f"no state with index {args.state_index} ({len(states)} bound states)"
+    if args.state_index < len(states):
+        half = args.extent * radius
+        xs = np.linspace(-half, half, args.samples)
+        # plane offset keeps every sample a0/10 clear of the source lattice
+        z0 = 0.37 * grid.spacing
+        pts = np.array([[x, y, z0] for x in xs for y in xs])
+        vals = reconstruct_wavefunction(states[args.state_index], grid, coupling, pts)
+        rows = [
+            (p[0], p[1], p[2], np.real(v), np.imag(v))
+            for p, v in zip(pts, np.atleast_1d(vals))
+        ]
+        marker = ""
+    _write_csv(out_path, config, ["x_nm", "y_nm", "z_nm", "re", "im"], rows, marker)
     return config
 
 
@@ -461,7 +391,9 @@ def cmd_wf(args, out_path):
 # ---------------------------------------------------------------------------
 
 
-def _add_common(p, with_grid=True):
+def _add_subcommand(sub, name, summary, handler, default_output, with_grid=True):
+    p = sub.add_parser(name, help=summary)
+    p.set_defaults(handler=handler, default_output=default_output)
     p.add_argument("--material", help="built-in material alias (e.g. LiH)")
     p.add_argument("--composition", help="path to a composition JSON file")
     p.add_argument("--nuclide-table", help="path to a nuclide table CSV")
@@ -474,6 +406,7 @@ def _add_common(p, with_grid=True):
             default=10,
             help="grid points per characteristic size (count, default 10)",
         )
+    return p
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -485,27 +418,34 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--output", "-o", help="primary artifact path (with --config)")
     sub = ap.add_subparsers(dest="subcommand")
 
-    p = sub.add_parser("bulk", help="bulk-crystal E_b*, T*, bound, mass gain")
-    _add_common(p, with_grid=False)
-    p.add_argument("--format", choices=["csv", "json"], help="artifact format")
+    p = _add_subcommand(
+        sub, "bulk", "bulk-crystal E_b*, T*, bound, mass gain", cmd_bulk, "bulk.json",
+        with_grid=False,
+    )
+    p.add_argument("--format", choices=["csv", "json"], default="json", help="artifact format")
 
-    p = sub.add_parser("dot", help="bound levels of a spherical nanocrystal")
-    _add_common(p)
+    p = _add_subcommand(
+        sub, "dot", "bound levels of a spherical nanocrystal", cmd_levels, "dot_levels.csv"
+    )
     p.add_argument("--radius-nm", type=float, help="sphere radius (nm)")
     p.add_argument("--max-states", type=int, default=12, help="states cap, whole levels (count)")
 
-    p = sub.add_parser("wire", help="bound levels of a cylindrical nanowire (k = 0)")
-    _add_common(p)
+    p = _add_subcommand(
+        sub, "wire", "bound levels of a cylindrical nanowire (k = 0)", cmd_levels,
+        "wire_levels.csv",
+    )
     p.add_argument("--radius-nm", type=float, help="cylinder radius (nm)")
     p.add_argument("--max-states", type=int, default=8, help="states cap, whole levels (count)")
 
-    p = sub.add_parser("film", help="bound levels of a thin film (k = 0)")
-    _add_common(p)
+    p = _add_subcommand(
+        sub, "film", "bound levels of a thin film (k = 0)", cmd_levels, "film_levels.csv"
+    )
     p.add_argument("--thickness-nm", type=float, help="film thickness (nm)")
     p.add_argument("--max-states", type=int, default=8, help="states cap, whole levels (count)")
 
-    p = sub.add_parser("bands", help="sub-band dispersions / plane-wave bulk band")
-    _add_common(p)
+    p = _add_subcommand(
+        sub, "bands", "sub-band dispersions / plane-wave bulk band", cmd_bands, "bands.csv"
+    )
     p.add_argument("--thickness-nm", type=float, help="film thickness (nm)")
     p.add_argument("--radius-nm", type=float, help="wire radius (nm)")
     p.add_argument("--bulk", action="store_true", help="plane-wave bulk band")
@@ -514,8 +454,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--g-shells", type=int, default=3, help="reciprocal shells (count, bulk mode)")
     p.add_argument("--max-states", type=int, default=8, help="sub-bands per k cap, whole levels (count)")
 
-    p = sub.add_parser("rabi", help="1s-1p microwave Rabi drive and dynamics")
-    _add_common(p)
+    p = _add_subcommand(
+        sub, "rabi", "1s-1p microwave Rabi drive and dynamics", cmd_rabi,
+        "rabi_timeseries.csv",
+    )
     p.add_argument("--radius-nm", type=float, default=40.0, help="sphere radius (nm)")
     p.add_argument("--voltage-v", type=float, default=1.0, help="surface voltage (V)")
     p.add_argument(
@@ -529,12 +471,15 @@ def build_parser() -> argparse.ArgumentParser:
         "--sweep-radius", help="comma-separated radii (nm): emit a Rabi map instead"
     )
 
-    p = sub.add_parser("screen", help="screen a crystal dataset, flag Pareto points")
-    _add_common(p, with_grid=False)
+    p = _add_subcommand(
+        sub, "screen", "screen a crystal dataset, flag Pareto points", cmd_screen,
+        "screen_results.csv", with_grid=False,
+    )
     p.add_argument("--input", required=True, help="NDJSON crystal dataset path")
 
-    p = sub.add_parser("wf", help="reconstructed wavefunction on a plane")
-    _add_common(p)
+    p = _add_subcommand(
+        sub, "wf", "reconstructed wavefunction on a plane", cmd_wf, "wavefunction.csv"
+    )
     p.add_argument("--radius-nm", type=float, required=False, help="sphere radius (nm)")
     p.add_argument("--state-index", type=int, default=0, help="state rank (0-based index, 0 = deepest)")
     p.add_argument(
@@ -543,29 +488,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--samples", type=int, default=41, help="samples per axis (count)")
     return ap
-
-
-HANDLERS = {
-    "bulk": cmd_bulk,
-    "dot": cmd_dot,
-    "wire": cmd_wire,
-    "film": cmd_film,
-    "bands": cmd_bands,
-    "rabi": cmd_rabi,
-    "screen": cmd_screen,
-    "wf": cmd_wf,
-}
-
-DEFAULT_OUTPUTS = {
-    "bulk": "bulk.json",
-    "dot": "dot_levels.csv",
-    "wire": "wire_levels.csv",
-    "film": "film_levels.csv",
-    "bands": "bands.csv",
-    "rabi": "rabi_timeseries.csv",
-    "screen": "screen_results.csv",
-    "wf": "wavefunction.csv",
-}
 
 
 def main(argv=None) -> int:
@@ -594,10 +516,10 @@ def main(argv=None) -> int:
         ap.print_help()
         return 2
 
-    out_path = Path(output or DEFAULT_OUTPUTS[args.subcommand])
+    out_path = Path(output or args.default_output)
 
     limiter = None
-    if getattr(args, "threads", None):
+    if args.threads:
         try:
             from threadpoolctl import threadpool_limits
         except ImportError:
@@ -607,8 +529,7 @@ def main(argv=None) -> int:
         limiter = threadpool_limits(limits=args.threads)
 
     try:
-        handler = HANDLERS[args.subcommand]
-        config = handler(args, out_path)
+        config = args.handler(args, out_path)
         _write_sidecar(out_path, config, argv)
         print(f"wrote {out_path}")
         return 0

@@ -297,14 +297,57 @@ REPLAYS = {
 }
 
 
+DEFAULT_OUTPUTS = {
+    "bulk": "bulk.json",
+    "dot": "dot_levels.csv",
+    "wire": "wire_levels.csv",
+    "film": "film_levels.csv",
+    "bands": "bands.csv",
+    "rabi": "rabi_timeseries.csv",
+    "screen": "screen_results.csv",
+    "wf": "wavefunction.csv",
+}
+
+
 @pytest.mark.parametrize("name", list(REPLAYS))
-def test_sidecar_replay_is_byte_identical(tmp_path, name):
-    out1, out2 = tmp_path / "a.out", tmp_path / "b.out"
-    assert main(REPLAYS[name] + ["--output", str(out1)]) == 0
-    sidecar = tmp_path / "a.out.config.json"
+def test_sidecar_replay_is_byte_identical(tmp_path, monkeypatch, name):
+    """Without --output the artifact takes its subcommand's default name;
+    replaying its sidecar elsewhere writes the same bytes."""
+    monkeypatch.chdir(tmp_path)
+    assert main(REPLAYS[name]) == 0
+    out1 = tmp_path / DEFAULT_OUTPUTS[REPLAYS[name][0]]
+    assert out1.is_file()
+    sidecar = out1.with_suffix(out1.suffix + ".config.json")
+    out2 = tmp_path / "b.out"
     assert main(["--config", str(sidecar), "--output", str(out2)]) == 0
     assert out1.read_bytes() == out2.read_bytes()
     assert sidecar.read_bytes() == (tmp_path / "b.out.config.json").read_bytes()
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["dot", "--radius-nm", "30", "--max-states", "0"], "--max-states"),
+        (["wire", "--radius-nm", "25", "--max-states", "0"], "--max-states"),
+        (["film", "--thickness-nm", "60", "--max-states", "0"], "--max-states"),
+        (["bands", "--thickness-nm", "60", "--max-states", "0"], "--max-states"),
+        (["bands", "--thickness-nm", "60", "--kpoints", "0"], "--kpoints"),
+        (["wf", "--radius-nm", "30", "--state-index", "-1"], "--state-index"),
+        (["wf", "--radius-nm", "30", "--samples", "0"], "--samples"),
+        (["wf"], "--radius-nm"),
+        (["rabi", "--periods", "-1"], "--periods"),
+        (["rabi", "--periods", "0"], "--periods"),
+        (["rabi", "--sweep-radius", ""], "--sweep-radius"),
+    ],
+    ids=lambda v: "_".join(v) if isinstance(v, list) else None,
+)
+def test_meaningless_inputs_exit_2(tmp_path, capsys, argv, flag):
+    """Each of these once wrote an empty or wrong artifact with exit 0 (or
+    crashed): now it exits 2, names its flag and writes nothing."""
+    out = tmp_path / "out.csv"
+    assert main(argv + ["--material", "LiH", "--output", str(out)]) == 2
+    assert flag in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_unreplayable_sidecar_exits_2(tmp_path, capsys):
