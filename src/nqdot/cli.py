@@ -123,7 +123,7 @@ def _required(args, dest: str):
 LOWEST = {"max_states": 1, "kpoints": 1, "samples": 1, "state_index": 0}
 
 
-def _setup(args, material: bool = True):
+def _setup(args):
     """Check the counts, load the nuclide table and resolve the material.
 
     Returns (config, table, comp, lattice). config holds the keys every
@@ -139,7 +139,7 @@ def _setup(args, material: bool = True):
         "format": getattr(args, "format", "csv"),
         "nuclide_table": args.nuclide_table,
     }
-    if not material:
+    if not hasattr(args, "material"):
         return config, table, None, None
     config["material"] = args.composition or args.material
     if not config["material"]:
@@ -233,14 +233,12 @@ def cmd_bands(args, out_path):
             )
             rows.append((k, "0", vals[0]))
     else:
-        if args.thickness_nm is not None:
-            spec = GeometrySpec.slab(args.thickness_nm, args.grid_div)
-            mode, size = "film", args.thickness_nm
-        elif args.radius_nm is not None:
-            spec = GeometrySpec.cylinder(args.radius_nm, args.grid_div)
-            mode, size = "wire", args.radius_nm
-        else:
-            raise SystemExit2("bands needs --thickness-nm, --radius-nm, or --bulk")
+        modes = [m for m in ("film", "wire") if getattr(args, LEVEL_SHAPES[m][1]) is not None]
+        if len(modes) != 1:
+            raise SystemExit2("bands needs one of --thickness-nm, --radius-nm or --bulk")
+        shape, size_dest = LEVEL_SHAPES[modes[0]]
+        mode, size = modes[0], getattr(args, size_dest)
+        spec = shape(size, args.grid_div)
         config.update(
             mode=mode, size_nm=size, grid_div=args.grid_div, max_states=args.max_states
         )
@@ -333,7 +331,7 @@ def cmd_rabi(args, out_path):
 
 
 def cmd_screen(args, out_path):
-    config, table, _, _ = _setup(args, material=False)
+    config, table, _, _ = _setup(args)
     config["input"] = args.input
     records, bad_rows = ingest_records(args.input, on_error="collect")
     report = screen_materials(records, table)
@@ -358,6 +356,8 @@ def cmd_screen(args, out_path):
 def cmd_wf(args, out_path):
     config, table, comp, _ = _setup(args)
     radius = _required(args, "radius_nm")
+    if not args.extent > 0:
+        raise SystemExit2(f"--extent must be positive, got {args.extent}")
     config.update(
         radius_nm=radius,
         grid_div=args.grid_div,
@@ -391,11 +391,12 @@ def cmd_wf(args, out_path):
 # ---------------------------------------------------------------------------
 
 
-def _add_subcommand(sub, name, summary, handler, default_output, with_grid=True):
+def _add_subcommand(sub, name, summary, handler, default_output, with_grid=True, material=True):
     p = sub.add_parser(name, help=summary)
     p.set_defaults(handler=handler, default_output=default_output)
-    p.add_argument("--material", help="built-in material alias (e.g. LiH)")
-    p.add_argument("--composition", help="path to a composition JSON file")
+    if material:
+        p.add_argument("--material", help="built-in material alias (e.g. LiH)")
+        p.add_argument("--composition", help="path to a composition JSON file")
     p.add_argument("--nuclide-table", help="path to a nuclide table CSV")
     p.add_argument("--output", "-o", help="primary artifact path")
     p.add_argument("--threads", type=int, help="cap BLAS worker threads (count)")
@@ -473,7 +474,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = _add_subcommand(
         sub, "screen", "screen a crystal dataset, flag Pareto points", cmd_screen,
-        "screen_results.csv", with_grid=False,
+        "screen_results.csv", with_grid=False, material=False,
     )
     p.add_argument("--input", required=True, help="NDJSON crystal dataset path")
 

@@ -121,6 +121,19 @@ class Grid:
             a.setflags(write=False)
         return classes
 
+    @functools.cached_property
+    def lattice(self) -> Optional[np.ndarray]:
+        """The integer coordinates n of the sites, points == spacing * n
+        exactly, found once per grid; None on a periodic grid, with a site
+        off the a0 lattice or with two sites at one point.  Every build_grid
+        sphere has them."""
+        n = np.rint(self.points / self.spacing).astype(np.intp)
+        on_lattice = np.array_equal(n * self.spacing, self.points)
+        if self.periodic_axes or not on_lattice or len(np.unique(n, axis=0)) < len(n):
+            return None
+        n.setflags(write=False)
+        return n
+
 
 def build_grid(spec: GeometrySpec) -> Grid:
     """Cubic lattice of spacing a0 intersected with the shape."""

@@ -15,11 +15,13 @@ Branches within 1e-9 of it at the root join the level.  A root that misses
 follows from the root: E_b = (hbar^2/2m_n) kappa^2.
 
 Branches are counted and rooted one symmetry block at a time.  Sphere
-grids are invariant under the 48 signed axis permutations (O_h) and K
-depends only on distance, so K(kappa) splits into one block per irrep
-(_OhBlocks); a level of a d-dimensional irrep is d-fold degenerate, and
-the irrep names it (A1g s, T1u p or f, Eg/T2g d, A2u/T2u f).  Other grids
-are one block.  max_states caps the states returned at whole levels.
+grids are integer lattices (Grid.lattice) invariant under the 48 signed
+axis permutations (O_h), so K(kappa) splits into one block per irrep
+(_OhBlocks), read from one table of K(kappa) over the squared integer
+distance (_lattice_kernel).  A level of a d-dimensional irrep is d-fold
+degenerate, and the irrep names it (A1g s, T1u p or f, Eg/T2g d, A2u/T2u
+f).  Other grids, off-lattice ones included, are one dense block.
+max_states caps the states returned at whole levels.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ from numpy.polynomial.legendre import leggauss
 from scipy.linalg import eigh
 
 from .constants import HBAR2_OVER_2MN
-from .errors import EvalTooCloseToSource, GeometryMismatch, NonConvergedEigensolve, ZeroAbsorption
+from .errors import GeometryMismatch, NonConvergedEigensolve, ZeroAbsorption
 from .geometry import CYLINDER, SLAB, SPHERE, Grid
 from .kernel import assemble_kernel, kernel_block
 from .nuclides import CrystalComposition, NuclideTable, default_table
@@ -45,7 +47,7 @@ ENERGY_FLOOR_UEV = 1e-4  # states shallower than this are not searched for
 KAPPA_REL_TOL = 1e-9  # bracket width that ends a root: |1 - lambda| lands near 1e-10
 LAMBDA_TOL = 5e-7
 DEGENERATE_BRANCH_TOL = 1e-9  # branches this close at a root are one level
-KERNEL_ROWS = 64  # target rows per kernel block off the lattice: (64, N) stays near L2 size
+KERNEL_ROWS = 64  # target rows per field block: (64, N) stays near L2 size
 
 
 @dataclass(frozen=True)
@@ -167,7 +169,7 @@ def _oh_group() -> tuple:
     and each u irrep is its g partner times det M_g.
     """
     perms = np.repeat(list(itertools.permutations(range(3))), 8, axis=0)
-    signs = np.array(list(itertools.product((1.0, -1.0), repeat=3)) * 6)
+    signs = np.array(list(itertools.product((1, -1), repeat=3)) * 6)
     mats = np.zeros((48, 3, 3))
     mats[np.arange(48)[:, None], np.arange(3), perms] = signs
     det = np.rint(np.linalg.det(mats))[:, None, None]
@@ -193,7 +195,7 @@ def _oh_group() -> tuple:
 
 
 class _OhBlocks:
-    """K(kappa) of an O_h-invariant aperiodic grid, one irrep at a time.
+    """K(kappa) of an O_h-invariant lattice grid, one irrep at a time.
 
     K commutes with the 48 site permutations, so the row-1 subspace of each
     irrep, the image of P_11 = (d/48) sum_g D_11(g) g, is K-invariant and
@@ -202,15 +204,22 @@ class _OhBlocks:
     w_b = P_1b e_k (b = 1..d), at most 48 nonzeros each, whose Gram matrix
     is (d/48) times the sum of D(g) over the stabilizer of k; the frame
     orthonormalizes them.  Between orbits of representatives j and k,
-    w_b(j) . K w_c(k) = (d/48) sum_g D_bc(g) K[j, g k], so each block needs
-    kernel rows at the representatives only, one site per orbit.
+    w_b(j) . K w_c(k) = (d/48) sum_g D_bc(g) K[j, g k], and K[j, g k] is
+    the lattice kernel of m[j, k, g] = |n_j - M_g n_k|^2 (_lattice_kernel),
+    so each block is one gather from a table of f(m) per kappa.
     """
 
     def __init__(self, grid: Grid, site_perms: np.ndarray):
         self.grid = grid
         self.reps = np.unique(site_perms.min(axis=0))
-        self.rep_self = self.reps[:, None] == np.arange(grid.n_points)
         self.images = site_perms[:, self.reps].T  # (orbits, 48): site of g rep
+        n = grid.lattice.astype(float)  # exact for these integers
+        n_rep = n[self.reps]
+        norm2 = np.sum(n_rep * n_rep, axis=1)
+        self.m_values = np.arange(4 * int(norm2.max()) + 1)  # bounds every |n_j - M_g n_k|^2
+        self.dist2 = np.empty((len(n_rep),) * 2 + (48,), np.min_scalar_type(self.m_values[-1]))
+        for g, moved in enumerate(self.images.T):  # one (orbits, orbits) product per g
+            self.dist2[:, :, g] = norm2[:, None] + norm2 - 2.0 * (n_rep @ n[moved].T)
         stabilizer = (self.images == self.reps[:, None]).astype(float)
         self.irreps = []  # (name, D, frame (orbits, d, d), flat columns that exist)
         for name, rep in _oh_group()[2]:
@@ -222,20 +231,17 @@ class _OhBlocks:
 
     @classmethod
     def of(cls, grid: Grid) -> Optional["_OhBlocks"]:
-        """The plan for grid, or None unless the grid is aperiodic and each
-        signed axis permutation maps its sites exactly onto its sites."""
-        if grid.periodic_axes:
+        """The plan for grid, or None unless the grid has a lattice
+        (Grid.lattice) that each signed axis permutation maps onto itself."""
+        n = grid.lattice
+        if n is None:
             return None
-        pts = grid.points
-        order = np.lexsort(pts.T)
-        site_perms = np.empty((48, len(pts)), dtype=np.intp)
-        for g, (perm, signs) in enumerate(zip(*_oh_group()[:2])):
-            moved = pts[:, perm] * signs
-            moved_order = np.lexsort(moved.T)
-            if not np.array_equal(moved[moved_order], pts[order]):
-                return None
-            site_perms[g, moved_order] = order  # g moves site i to site_perms[g, i]
-        return cls(grid, site_perms)
+        h = int(np.abs(n).max())
+        where = np.full((2 * h + 1,) * 3, -1, dtype=np.intp)  # site at each lattice point
+        where[tuple((n + h).T)] = np.arange(len(n))
+        perms, signs = _oh_group()[:2]  # g moves site i to site_perms[g, i]
+        site_perms = np.stack([where[tuple((n[:, p] * s + h).T)] for p, s in zip(perms, signs)])
+        return None if np.any(site_perms < 0) else cls(grid, site_perms)
 
     def top(self, kappa: float, i: int, m: int) -> tuple:
         """Top m eigenvalues of irrep i's block of K(kappa), descending, and
@@ -245,10 +251,10 @@ class _OhBlocks:
         m = min(m, n)
         if not m:
             return np.zeros(0), np.zeros((n, 0))
-        rows = kernel_block(self.grid.points[self.reps], self.grid, kappa, self_mask=self.rep_self)
+        f = _lattice_kernel(self.grid.spacing, kappa, self.m_values)
         # r[j, k, b, c] = (d/48) sum_g D_bc(g) K[rep_j, g rep_k]
         coef = d / 48 * rep.reshape(48, d * d)
-        r = (rows[:, self.images] @ coef).reshape(n_orb, n_orb, d, d)
+        r = (f[self.dist2] @ coef).reshape(n_orb, n_orb, d, d)
         h = frame.transpose(0, 2, 1)[:, None] @ r @ frame[None]
         h = h.transpose(0, 2, 1, 3).reshape(n_orb * d, -1)[np.ix_(kept, kept)]
         vals, vecs = eigh(0.5 * (h + h.T), subset_by_index=[n - m, n - 1])
@@ -270,11 +276,11 @@ class _OhBlocks:
 
 class TopEigenSolver:
     """Top-m eigenpairs of one symmetry block of K(kappa) per call.  blocks
-    holds each block's (irrep name, d): the O_h irreps on grids the 48
-    signed axis permutations map onto themselves (every build_grid sphere),
-    else one dense-eigh block (None, 1), whose vectors are gauge-fixed unit
-    states and which alone returns the kernel times them (the irrep blocks
-    hold no N x N matrix; _OhBlocks.partners expands their vectors)."""
+    holds each block's (irrep name, d): the O_h irreps on O_h-invariant
+    lattice grids (every build_grid sphere), else one dense-eigh block
+    (None, 1), whose vectors are gauge-fixed unit states and which alone
+    returns the kernel times them (the irrep blocks hold no N x N matrix;
+    _OhBlocks.partners expands their vectors)."""
 
     def __init__(self, grid: Grid, bloch_k=None):
         self.grid = grid
@@ -399,9 +405,8 @@ def solve_bound_states(
             break
         _values, vecs, k_vecs = branches.spectrum(kappa_root, block)
         if k_vecs is None:
-            oh = branches.eigen.oh
-            units = np.hstack([oh.partners(block, x) for x in vecs[:, members].T])
-            k_units = _kernel_apply(grid, kappa_root, bloch_k, units)
+            units = np.hstack([branches.eigen.oh.partners(block, x) for x in vecs[:, members].T])
+            k_units = _lattice_apply(grid, kappa_root, units, grid.lattice)
         else:
             units, k_units = vecs[:, members], k_vecs[:, members]
         residuals = np.linalg.norm(units + coupling.c * k_units, axis=0)
@@ -442,7 +447,7 @@ def _level_label(irrep, row1: np.ndarray, grid: Grid, group: int, named: list) -
     if irrep in _SHELL_FITS:
         ells, harmonics = zip(*_SHELL_FITS[irrep])
         r = np.linalg.norm(grid.points, axis=1)
-        shells = np.rint(r / grid.spacing).astype(int)
+        shells = np.rint(np.sqrt(np.sum(grid.lattice**2, axis=1))).astype(int)
         power = np.zeros(len(ells))
         for s in np.unique(shells[shells > 0]):
             on = shells == s
@@ -615,22 +620,25 @@ def _fft_length(n: int) -> int:
         n += 1
 
 
-def _lattice_apply(grid: Grid, kappa: float, vecs, targets):
-    """K(kappa) @ vecs at integer targets (in units of a0) of an aperiodic
-    grid whose sites are all a0 times integer vectors, by FFT convolution.
+def _lattice_kernel(a0: float, kappa: float, m) -> np.ndarray:
+    """K(kappa) between two lattice sites at squared integer distance m,
+    f(m) = exp(-kappa a0 sqrt m) / (a0 sqrt m) with f(0) = 0: a site with
+    itself drops its own term, as the diagonal of assemble_kernel does."""
+    r = a0 * np.sqrt(m)
+    r[r == 0] = np.inf
+    return np.exp(-kappa * r) / r
 
-    Between lattice points K depends only on the integer displacement n, as
-    f(n) = exp(-kappa a0 |n|) / (a0 |n|) with f(0) = 0 (a target on a site
-    drops that site's term, as the diagonal of assemble_kernel does), so
-    K @ v is the linear convolution of v's site cube with the cube of f.
-    Each axis is zero-padded to a 2^a 3^b 5^c length of at least the
-    targets' extent plus the sites' extent less one, which keeps the wanted
-    outputs free of wrap-around.  Columns, and the real and imaginary parts
-    of a complex one, are transformed one at a time, so temporaries stay at
-    a few cubes.
-    """
-    a0 = grid.spacing
-    sites = np.rint(grid.points / a0).astype(np.intp)
+
+def _lattice_apply(grid: Grid, kappa: float, vecs, targets):
+    """K(kappa) @ vecs at integer targets (in units of a0) of a lattice grid
+    (Grid.lattice).  K depends only on the integer displacement there
+    (_lattice_kernel), so K @ v is the linear convolution of v's site cube
+    with the kernel cube, done by FFT.  Each axis is zero-padded to a
+    2^a 3^b 5^c length of at least the targets' extent plus the sites'
+    extent less one, which keeps the wanted outputs free of wrap-around.
+    Columns, and the real and imaginary parts of a complex one, are
+    transformed one at a time, so temporaries stay at a few cubes."""
+    sites = grid.lattice
     targets = np.asarray(targets, dtype=np.intp)
     s_lo, s_hi = sites.min(axis=0), sites.max(axis=0)
     t_lo, t_hi = targets.min(axis=0), targets.max(axis=0)
@@ -638,13 +646,10 @@ def _lattice_apply(grid: Grid, kappa: float, vecs, targets):
     shape = tuple(_fft_length(int(n)) for n in n_disp)
     axes = (0, 1, 2)
     d2 = [(np.arange(n) + lo) ** 2 for n, lo in zip(n_disp, t_lo - s_hi)]
-    r = a0 * np.sqrt(d2[0][:, None, None] + d2[1][:, None] + d2[2])
-    r[r == 0] = np.inf
-    kernel_ft = np.fft.rfftn(np.exp(-kappa * r) / r, shape, axes=axes)
-    del r
+    m = d2[0][:, None, None] + d2[1][:, None] + d2[2]
+    kernel_ft = np.fft.rfftn(_lattice_kernel(grid.spacing, kappa, m), shape, axes=axes)
+    del m
     at_sites = tuple((sites - s_lo).T)
-    if np.unique(np.ravel_multi_index(at_sites, shape)).size < len(sites):
-        raise EvalTooCloseToSource("two grid sites coincide")
     at_targets = tuple((targets - t_lo + (s_hi - s_lo)).T)
     cube = np.zeros(shape)
 
@@ -663,32 +668,11 @@ def _lattice_apply(grid: Grid, kappa: float, vecs, targets):
     return out.reshape((len(targets),) + np.shape(vecs)[1:])
 
 
-def _kernel_apply(grid: Grid, kappa: float, bloch_k, vecs, targets=None):
-    """K(kappa) @ vecs with no N x N matrix held.  Targets default to the
-    grid sites, each with its L = 0 self term masked as in assemble_kernel.
-
-    On an aperiodic grid whose sites are all exactly a0 times integer
-    vectors (every build_grid sphere) the on-site product is one FFT
-    convolution (_lattice_apply).  Other targets, periodic grids and
-    off-lattice sites take kernel_block, KERNEL_ROWS target rows at a time.
-    """
-    on_sites = targets is None
-    if on_sites and bloch_k is None and not grid.periodic_axes:
-        sites = np.rint(grid.points / grid.spacing)
-        if np.array_equal(sites * grid.spacing, grid.points):
-            return _lattice_apply(grid, kappa, vecs, sites)
-    targets = grid.points if on_sites else np.asarray(targets, float)
-    parts = []
-    for start in range(0, len(targets), KERNEL_ROWS):
-        rows = targets[start : start + KERNEL_ROWS]
-        mask = np.eye(len(rows), grid.n_points, start, dtype=bool) if on_sites else None
-        parts.append(kernel_block(rows, grid, kappa, bloch_k, self_mask=mask) @ vecs)
-    return np.concatenate(parts)
-
-
 def _field_at(points, state, grid):
     """Reconstructed field s K psi at arbitrary points, s the state's scale."""
-    return state.scale * _kernel_apply(grid, state.kappa, state.bloch_k, state.psi, points)
+    chunks = np.split(points, range(KERNEL_ROWS, len(points), KERNEL_ROWS))
+    k_psi = [kernel_block(rows, grid, state.kappa, state.bloch_k) @ state.psi for rows in chunks]
+    return state.scale * np.concatenate(k_psi)
 
 
 def reconstruct_wavefunction(

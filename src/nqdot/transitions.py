@@ -88,10 +88,10 @@ def _box_field(state: BoundState, grid: Grid, pts_int):
     """State values on the box lattice: grid psi inside, the reconstruction
     s K psi outside, the exterior by FFT convolution on the integer lattice
     (_lattice_apply).  The box sites inside the sphere must be the grid's
-    own sites in their x, y, z lexicographic order (GeometryMismatch)."""
+    own lattice (Grid.lattice), in its order (GeometryMismatch)."""
     n = grid.spec.grid_div
     inside = (pts_int**2).sum(axis=1) <= n * n
-    if not np.array_equal(pts_int[inside] * grid.spacing, grid.points):
+    if not np.array_equal(pts_int[inside], grid.lattice):
         raise GeometryMismatch("grid sites are not the sphere lattice of its spec")
     vals = np.zeros(len(pts_int), dtype=state.psi.dtype)
     vals[inside] = state.psi

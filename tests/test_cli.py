@@ -197,6 +197,22 @@ def test_validation_errors_exit_2(tmp_path, capsys):
     assert main(["dot", "--material", "LiH", "--output", str(tmp_path / "x.csv")]) == 2
     assert "--radius-nm" in capsys.readouterr().err
     assert main(["bulk", "--material", "NoSuchMaterial"]) == 2
+    # a plane of one repeated point, and a film that silently drops the radius
+    for extent in ("0", "-1"):
+        argv = ["wf", "--material", "LiH", "--radius-nm", "30", "--extent", extent]
+        assert main(argv + ["--output", str(tmp_path / "wf.csv")]) == 2
+        assert "--extent" in capsys.readouterr().err
+    argv = ["bands", "--material", "LiH", "--thickness-nm", "60", "--radius-nm", "25"]
+    assert main(argv + ["--output", str(tmp_path / "bands.csv")]) == 2
+    err = capsys.readouterr().err
+    assert "--thickness-nm" in err and "--radius-nm" in err
+    assert list(tmp_path.iterdir()) == []
+    # screen reads its materials from --input and has no material flags
+    for flag, value in (("--material", "LiH"), ("--composition", "/nonexistent.json")):
+        with pytest.raises(SystemExit) as exc:
+            main(["screen", "--input", str(SAMPLE), flag, value])
+        assert exc.value.code == 2
+        assert flag in capsys.readouterr().err
 
 
 @pytest.mark.skipif(

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -29,6 +30,25 @@ def test_sphere_centered_and_symmetric():
     pts = {tuple(np.round(p, 12)) for p in grid.points}
     assert {tuple(np.round(-p, 12)) for p in grid.points} == pts
     assert (0.0, 0.0, 0.0) in pts
+
+
+def test_lattice_is_the_integer_view_of_sphere_sites():
+    """Grid.lattice holds a sphere's build_grid integers; a grid with a site
+    off the a0 lattice, with two sites at one point, or with a periodic
+    axis has none."""
+    n = 6
+    grid = build_grid(GeometrySpec.sphere(12.0, n))
+    ints = [p for p in itertools.product(range(-n, n + 1), repeat=3) if np.dot(p, p) <= n * n]
+    assert np.array_equal(grid.lattice, ints)
+    assert np.array_equal(grid.lattice * grid.spacing, grid.points)
+    a0 = grid.spacing
+    ax = np.arange(-n, n) + 0.5
+    half = np.stack(np.meshgrid(ax, ax, ax, indexing="ij"), -1).reshape(-1, 3)
+    half = half[np.sum(half**2, axis=1) <= n * n] * a0
+    for pts in (grid.points + a0 / 3, half, np.vstack([grid.points, grid.points[:1]])):
+        assert Grid(pts, a0, ()).lattice is None
+    for spec in (GeometrySpec.cylinder(25.0, 10), GeometrySpec.slab(100.0, 40)):
+        assert build_grid(spec).lattice is None
 
 
 def test_slab_column():

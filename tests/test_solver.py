@@ -18,7 +18,7 @@ from nqdot.solver import (
     _SHELL_FITS,
     TopEigenSolver,
     _BranchValues,
-    _kernel_apply,
+    _lattice_apply,
     _oh_group,
     exterior_weight,
     finite_lifetime,
@@ -612,24 +612,24 @@ def test_reconstruction_scale_matches_coupling(r30):
 def test_stored_scale_is_the_site_least_squares_match(r30, lih):
     """BoundState.scale, taken from the solve's own K psi, equals
     Re<K psi, psi> / <K psi, K psi> recomputed from psi, for every member
-    of a multiplet and on the dense periodic path as well."""
+    of a multiplet and on the dense periodic path as well: by the assembled
+    matrix, and on the sphere also by the lattice FFT, which shares no code
+    with it."""
     film = build_grid(GeometrySpec.slab(100.0, 10))
     film_states = solve_bound_states(film, Coupling.from_composition(lih, film), max_states=2)
     cases = [(s, r30.grid) for s in r30.states] + [(s, film) for s in film_states]
     assert len(cases) == len(r30.states) + 2
     dense = {}
     for state, grid in cases:
-        f = _kernel_apply(grid, state.kappa, state.bloch_k, state.psi)
-        s = np.real(np.vdot(f, state.psi)) / np.real(np.vdot(f, f))
-        assert state.scale == pytest.approx(s, rel=1e-12)
-        # and against the assembled matrix, which shares no code with the
-        # lattice FFT that _kernel_apply takes on the sphere
         key = (grid.signature(), state.kappa)
         if key not in dense:
             dense = {key: assemble_kernel(grid, state.kappa, state.bloch_k)}
-        f = dense[key] @ state.psi
-        s = np.real(np.vdot(f, state.psi)) / np.real(np.vdot(f, f))
-        assert state.scale == pytest.approx(s, rel=1e-12)
+        products = [dense[key] @ state.psi]
+        if grid is r30.grid:
+            products.append(_lattice_apply(grid, state.kappa, state.psi, grid.lattice))
+        for f in products:
+            s = np.real(np.vdot(f, state.psi)) / np.real(np.vdot(f, f))
+            assert state.scale == pytest.approx(s, rel=1e-12)
 
 
 def test_reconstruction_far_field(r30):
@@ -686,10 +686,12 @@ def _no_kernel_block(*args, **kwargs):
 
 
 @pytest.mark.parametrize("grid_div", [8, 10])
-def test_on_site_lattice_apply_matches_assembled_kernel(grid_div, monkeypatch):
+def test_on_site_lattice_apply_matches_assembled_kernel(grid_div, monkeypatch, lih, lih_bulk):
     """On a build_grid sphere the on-site K V is an FFT convolution that
     calls no kernel_block; it equals the assembled matrix times V for real
-    columns and for a complex one."""
+    columns and for a complex one.  The whole solve, its O_h blocks and
+    residuals included, calls no kernel_block either and returns the
+    oracle's levels."""
     grid = build_grid(GeometrySpec.sphere(30.0, grid_div))
     kappa = 0.09
     rng = np.random.default_rng(grid_div)
@@ -699,15 +701,21 @@ def test_on_site_lattice_apply_matches_assembled_kernel(grid_div, monkeypatch):
     monkeypatch.setattr("nqdot.solver.kernel_block", _no_kernel_block)
     for v in (real, cplx):
         expected = mat @ v
-        got = _kernel_apply(grid, kappa, None, v)
+        got = _lattice_apply(grid, kappa, v, grid.lattice)
         assert got.shape == expected.shape and got.dtype == expected.dtype
         assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(np.abs(expected))
+    states = solve_bound_states(grid, Coupling.from_composition(lih, grid), max_states=12)
+    labels = spherical_well_state_labels(lih_bulk.e_b_star, 30.0)
+    assert [s.level_label for s in states] == labels
 
 
 @pytest.mark.parametrize("sites", ["shifted by a0/3", "half-integer"])
 def test_off_lattice_sites_take_kernel_block(sites, monkeypatch):
     """Sites that are not a0 times integers (a sphere shifted by a0/3, and
-    the O_h-invariant half-integer sphere) are applied by kernel_block."""
+    the O_h-invariant half-integer sphere) have no Grid.lattice: they solve
+    as one dense block of the kernel_block-assembled matrix, without irrep
+    labels.  The shifted sphere holds the kernel of the lattice sphere, so
+    its levels are those of the O_h solve, level by level."""
     sphere = build_grid(GeometrySpec.sphere(12.0, 6))
     a0 = sphere.spacing
     if sites == "half-integer":
@@ -717,18 +725,34 @@ def test_off_lattice_sites_take_kernel_block(sites, monkeypatch):
     else:
         pts = sphere.points + a0 / 3
     grid = Grid(pts, a0, ())
-    v = np.random.default_rng(0).standard_normal((grid.n_points, 2))
+    assert grid.lattice is None and TopEigenSolver(grid).blocks == [(None, 1)]
     calls = []
 
     def counted(*args, **kwargs):
         calls.append(1)
         return kernel_block(*args, **kwargs)
 
-    monkeypatch.setattr("nqdot.solver.kernel_block", counted)
-    got = _kernel_apply(grid, 0.2, None, v)
+    monkeypatch.setattr("nqdot.kernel.kernel_block", counted)
+    coupling = Coupling(c=-0.05, spacing=a0)  # binds the 1s and the 1p triple
+    states = solve_bound_states(grid, coupling, max_states=4)
     assert calls
-    expected = assemble_kernel(grid, 0.2) @ v
-    assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(np.abs(expected))
+    assert [s.level_label for s in states] == ["sb0", "sb1", "sb1", "sb1"]
+    assert max(s.residual for s in states) <= 1e-9
+    if sites == "shifted by a0/3":
+        blocks = solve_bound_states(sphere, coupling, max_states=4)
+        assert [s.level_label for s in blocks] == ["1s", "1p", "1p", "1p"]
+        for dense, oh in zip(states, blocks):
+            assert dense.kappa == pytest.approx(oh.kappa, rel=1e-10)
+
+
+def test_coincident_sites_raise_on_solve():
+    """Two sites at one point leave the grid without a lattice; its dense
+    kernel meets a source pair closer than a0/10 and raises."""
+    sphere = build_grid(GeometrySpec.sphere(12.0, 6))
+    grid = Grid(np.vstack([sphere.points, sphere.points[:1]]), sphere.spacing, ())
+    assert grid.lattice is None
+    with pytest.raises(EvalTooCloseToSource):
+        solve_bound_states(grid, Coupling(c=-0.05, spacing=grid.spacing))
 
 
 def test_kappa_floor_matches_energy_floor():
