@@ -22,7 +22,7 @@ import numpy as np
 from scipy.linalg import eigh
 
 from .constants import HBAR2_OVER_2MN
-from .errors import CutoffTooSmall, NoBoundState
+from .errors import CutoffTooSmall
 from .geometry import CYLINDER, SLAB, GeometrySpec, build_grid
 from .nuclides import CrystalComposition, NuclideTable, default_table
 from .solver import Coupling, solve_bound_states
@@ -47,14 +47,11 @@ def subband_dispersion(
     """Bound sub-bands E_n(k) of a cylinder or slab, ascending n at each k.
 
     An empty sub-band set at large |k| is a valid outcome and is simply
-    omitted from the returned list.
+    omitted from the returned list.  Raises NoBoundState (bulk.bound_sums)
+    when the composition does not bind.
     """
     if spec.shape not in (CYLINDER, SLAB):
         raise ValueError("sub-band dispersion needs a periodic geometry")
-    table = table or default_table()
-    sum_re, _ = table.composition_sums(comp)
-    if sum_re >= 0.0:
-        raise NoBoundState(sum_re)
     grid = build_grid(spec)
     coupling = Coupling.from_composition(comp, grid, table)
     k_axis = 2 if spec.shape == CYLINDER else 0

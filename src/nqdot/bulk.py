@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Optional
 
 import numpy as np
@@ -33,7 +34,7 @@ from .errors import MissingDensity, NoBoundState, TruncationTooSmall, ZeroAbsorp
 from .nuclides import CrystalComposition, NuclideTable, default_table
 
 TAIL_BUDGET = 1e-9  # relative truncation-tail allowance for the lattice sum
-_MAX_SHELL_RADIUS = 3200  # memory guard: FFT length ~ 2*(n_max+8)^2
+_MAX_SHELL_RADIUS = 3200  # memory guard: FFT length ~ 3*(n_max+8)^2
 
 
 @dataclass(frozen=True)
@@ -51,6 +52,15 @@ class BulkProperties:
             raise ValueError("kappa_star inconsistent with e_b_star")
 
 
+def bound_sums(comp: CrystalComposition, table: Optional[NuclideTable] = None) -> tuple:
+    """The cell sums (sum n*Re[b], sum n*Im[b]) in fm, or NoBoundState when
+    sum n*Re[b] >= 0: the coherent potential attracts only where it is < 0."""
+    sum_re, sum_im = (table or default_table()).composition_sums(comp)
+    if sum_re >= 0.0:
+        raise NoBoundState(sum_re)
+    return sum_re, sum_im
+
+
 def bulk_properties(
     comp: CrystalComposition, table: Optional[NuclideTable] = None
 ) -> BulkProperties:
@@ -59,10 +69,7 @@ def bulk_properties(
     Raises NoBoundState when sum n*Re[b] >= 0 (the exception carries the
     offending sum) and ZeroAbsorption when every Im[b] vanishes.
     """
-    table = table or default_table()
-    sum_re, sum_im = table.composition_sums(comp)
-    if sum_re >= 0.0:
-        raise NoBoundState(sum_re)
+    sum_re, sum_im = bound_sums(comp, table)
     # fm -> nm (1e-6), A^3 -> nm^3 (1e-3)
     density = -sum_re * 1e-6 / (comp.cell_volume_A3 * 1e-3)  # |S_re|/Omega, 1/nm^2
     kappa_star = math.sqrt(4.0 * math.pi * density)
@@ -81,10 +88,7 @@ def dispersion(
     comp: CrystalComposition, k: float, table: Optional[NuclideTable] = None
 ) -> float:
     """Parabolic bulk band E(k) = -E_b* + (hbar^2/2m_n) k^2 in ueV."""
-    table = table or default_table()
-    sum_re, _ = table.composition_sums(comp)
-    if sum_re >= 0.0:
-        raise NoBoundState(sum_re)
+    sum_re, _ = bound_sums(comp, table)
     density = -sum_re * 1e-6 / (comp.cell_volume_A3 * 1e-3)
     e_b_star = HBAR2_OVER_2MN * 4.0 * math.pi * density
     return -e_b_star + HBAR2_OVER_2MN * k * k
@@ -98,12 +102,9 @@ def mass_gain(
     Returns (4 m_n / 3 sqrt(pi) rho) * (|S_re|/Omega)^{3/2} * 100 with the
     density ratio evaluated in SI.
     """
-    table = table or default_table()
     if comp.mass_density_kg_m3 is None:
         raise MissingDensity(f"{comp.name}: mass density required for mass gain")
-    sum_re, _ = table.composition_sums(comp)
-    if sum_re >= 0.0:
-        raise NoBoundState(sum_re)
+    sum_re, _ = bound_sums(comp, table)
     density_si = -sum_re * 1e-15 / (comp.cell_volume_A3 * 1e-30)  # 1/m^2
     return (
         4.0
@@ -114,50 +115,24 @@ def mass_gain(
     )
 
 
-def _pair_counts(m_max: int) -> np.ndarray:
-    """r2[m] = number of integer pairs with x^2+y^2 = m, m <= m_max."""
-    n = int(math.isqrt(m_max))
-    idx = []
-    wts = []
-    for x in range(0, n + 1):
-        wx = 1.0 if x == 0 else 2.0
-        y_max = int(math.isqrt(m_max - x * x))
-        y = np.arange(0, y_max + 1)
-        w = np.full(y_max + 1, 2.0 * wx)
-        w[0] = wx
-        idx.append(x * x + y * y)
-        wts.append(w)
-    return np.bincount(
-        np.concatenate(idx), weights=np.concatenate(wts), minlength=m_max + 1
-    )
-
-
-from functools import lru_cache
-
-
 @lru_cache(maxsize=4)
 def _shell_counts(n_max: int) -> np.ndarray:
     """r3[m] = number of integer triples with x^2+y^2+z^2 = m, m <= n_max^2.
 
-    Computed exactly: pair counts by direct enumeration, then one FFT
-    convolution with the square indicator; counts are re-rounded to
-    integers and the rounding slack is verified.
+    Computed exactly: r3 = r1 * r1 * r1 for the square indicator r1, as one
+    cubed spectrum; counts are re-rounded to integers and the rounding slack
+    is verified.
     """
     m_max = n_max * n_max
     ax = np.arange(-n_max, n_max + 1)
     r1 = np.zeros(m_max + 1)
     np.add.at(r1, ax * ax, 1.0)
-    r2 = _pair_counts(m_max)
 
-    # Linear convolution support reaches 2*m_max; size the cyclic FFT past it.
+    # Linear convolution support reaches 3*m_max; size the cyclic FFT past it.
     from scipy.fft import irfft, next_fast_len, rfft
 
-    n_fft = next_fast_len(2 * m_max + 1, real=True)
-    r3 = irfft(
-        rfft(r1, n_fft, workers=-1) * rfft(r2, n_fft, workers=-1),
-        n_fft,
-        workers=-1,
-    )[: m_max + 1]
+    n_fft = next_fast_len(3 * m_max + 1, real=True)
+    r3 = irfft(rfft(r1, n_fft, workers=-1) ** 3, n_fft, workers=-1)[: m_max + 1]
     rounded = np.rint(r3)
     if np.max(np.abs(r3 - rounded)) > 0.25:
         raise ArithmeticError("shell-count convolution lost integer precision")

@@ -73,6 +73,11 @@ def _meta_lines(config: dict) -> list:
     ]
 
 
+def _unbound(exc: NoBoundState) -> str:
+    """The empty-result marker of a composition that binds nothing."""
+    return f"no bound states: sum n Re[b] = {exc.sum_re_fm:+.6g} fm >= 0"
+
+
 def _write_csv(path: Path, config: dict, header: list, rows, marker: str = ""):
     lines = _meta_lines(config)
     if marker:
@@ -198,11 +203,9 @@ def cmd_levels(args, out_path):
     states, marker = [], "no bound states"
     try:
         coupling = Coupling.from_composition(comp, grid, table)
-        if coupling.c >= 0:
-            raise NoBoundState(table.composition_sums(comp)[0])
         states = solve_bound_states(grid, coupling, max_states=args.max_states)
     except NoBoundState as exc:
-        marker = f"no bound states: sum n Re[b] = {exc.sum_re_fm:+.6g} fm >= 0"
+        marker = _unbound(exc)
     rows = []
     for g in sorted({s.degeneracy_group for s in states}):
         members = [s for s in states if s.degeneracy_group == g]
@@ -222,16 +225,7 @@ def cmd_bands(args, out_path):
             raise SystemExit2(
                 "--bulk needs a material file with a lattice block"
             )
-        bp = bulk_properties(comp, table)
-        k_max = args.kmax if args.kmax is not None else 2.0 * bp.kappa_star
-        config.update(mode="bulk", kmax_nm_inv=k_max, g_shells=args.g_shells)
-        rows = []
-        for k in np.linspace(0.0, k_max, args.kpoints):
-            vals = planewave_bulk_band(
-                comp, lattice, np.array([k, 0.0, 0.0]), g_cutoff=args.g_shells,
-                table=table,
-            )
-            rows.append((k, "0", vals[0]))
+        config.update(mode="bulk", kmax_nm_inv=args.kmax, g_shells=args.g_shells)
     else:
         modes = [m for m in ("film", "wire") if getattr(args, LEVEL_SHAPES[m][1]) is not None]
         if len(modes) != 1:
@@ -242,13 +236,29 @@ def cmd_bands(args, out_path):
         config.update(
             mode=mode, size_nm=size, grid_div=args.grid_div, max_states=args.max_states
         )
-        ks = np.linspace(0.0, math.pi / spec.spacing, args.kpoints)
-        points = subband_dispersion(
-            spec, comp, ks, max_states=args.max_states, table=table
-        )
-        rows = [(p.k, str(p.subband_index), p.energy_ueV) for p in points]
-    marker = "" if rows else "no bound sub-bands in the sampled k range"
-    _write_csv(out_path, config, ["k_nm_inv", "subband", "energy_ueV"], rows, marker)
+    rows, marker = [], "no bound sub-bands in the sampled k range"
+    try:
+        if args.bulk:
+            bp = bulk_properties(comp, table)
+            k_max = args.kmax if args.kmax is not None else 2.0 * bp.kappa_star
+            config["kmax_nm_inv"] = k_max
+            for k in np.linspace(0.0, k_max, args.kpoints):
+                vals = planewave_bulk_band(
+                    comp, lattice, np.array([k, 0.0, 0.0]), g_cutoff=args.g_shells,
+                    table=table,
+                )
+                rows.append((k, "0", vals[0]))
+        else:
+            ks = np.linspace(0.0, math.pi / spec.spacing, args.kpoints)
+            points = subband_dispersion(
+                spec, comp, ks, max_states=args.max_states, table=table
+            )
+            rows = [(p.k, str(p.subband_index), p.energy_ueV) for p in points]
+    except NoBoundState as exc:
+        marker = _unbound(exc)
+    _write_csv(
+        out_path, config, ["k_nm_inv", "subband", "energy_ueV"], rows, "" if rows else marker
+    )
     return config
 
 
@@ -268,6 +278,8 @@ def cmd_rabi(args, out_path):
         raise SystemExit2(f"--periods must be positive, got {args.periods}")
 
     def one_radius(radius):
+        """(Rabi rate, 1s-1p angular frequency, 1s lifetime) at radius, or
+        None when the sphere binds no 1s-1p pair."""
         spec = GeometrySpec.sphere(radius, args.grid_div)
         grid = build_grid(spec)
         coupling = Coupling.from_composition(comp, grid, table)
@@ -275,10 +287,7 @@ def cmd_rabi(args, out_path):
         s_states = [s for s in states if s.level_label == "1s"]
         p_states = [s for s in states if s.level_label == "1p"]
         if not s_states or not p_states:
-            raise NoBoundState(
-                table.composition_sums(comp)[0],
-                f"radius {radius} nm hosts no 1s-1p pair",
-            )
+            return None
         ground = s_states[0]
         drive = DriveConfig(
             field_kv_cm=(0.0, 0.0, args.field_kv_cm),
@@ -298,35 +307,42 @@ def cmd_rabi(args, out_path):
         lifetime_ms = lifetime_with_leakage(ground, grid, comp, coupling, table)
         return rabi, omegas[0], lifetime_ms
 
-    if args.sweep_radius is not None:
+    sweep = args.sweep_radius is not None
+    if sweep:
         try:
             radii = [float(r) for r in args.sweep_radius.split(",")]
         except ValueError:
             raise SystemExit2(
                 f"--sweep-radius takes comma-separated radii (nm), got {args.sweep_radius!r}"
             ) from None
-        header = ["R_nm", "E0_kV_cm", "rabi_MHz"]
-        rows = [
-            (r, args.field_kv_cm, abs(one_radius(r)[0]) / (2 * math.pi) / 1e6)
-            for r in radii
-        ]
-    else:
-        rabi, omega_mn, lifetime_ms = one_radius(args.radius_nm)
-        series = simulate_two_level(
-            rabi_rad_s=abs(rabi),
-            detuning_rad_s=0.0,
-            decay_rad_s=1.0 / (lifetime_ms * 1e-3),
-            t_span_s=args.periods * 2 * math.pi / abs(rabi),
-        )
-        header = ["t_us", "n_s", "n_p"]
-        rows = list(zip(series.t_s * 1e6, series.n_s, series.n_p))
-        config["summary"] = {
-            "rabi_MHz": abs(rabi) / (2 * math.pi) / 1e6,
-            "omega_mn_rad_s": omega_mn,
-            "lifetime_ms": lifetime_ms,
-            "rabi_lifetime_cycles": abs(rabi) * lifetime_ms * 1e-3 / (2 * math.pi),
-        }
-    _write_csv(out_path, config, header, rows)
+    header = ["R_nm", "E0_kV_cm", "rabi_MHz"] if sweep else ["t_us", "n_s", "n_p"]
+    rows, marker = [], ""
+    try:
+        if sweep:
+            for r in radii:
+                found = one_radius(r)
+                rabi_mhz = None if found is None else abs(found[0]) / (2 * math.pi) / 1e6
+                rows.append((r, args.field_kv_cm, rabi_mhz))
+        elif (found := one_radius(args.radius_nm)) is None:
+            marker = f"radius {_f(args.radius_nm)} nm hosts no 1s-1p pair"
+        else:
+            rabi, omega_mn, lifetime_ms = found
+            series = simulate_two_level(
+                rabi_rad_s=abs(rabi),
+                detuning_rad_s=0.0,
+                decay_rad_s=1.0 / (lifetime_ms * 1e-3),
+                t_span_s=args.periods * 2 * math.pi / abs(rabi),
+            )
+            rows = list(zip(series.t_s * 1e6, series.n_s, series.n_p))
+            config["summary"] = {
+                "rabi_MHz": abs(rabi) / (2 * math.pi) / 1e6,
+                "omega_mn_rad_s": omega_mn,
+                "lifetime_ms": lifetime_ms,
+                "rabi_lifetime_cycles": abs(rabi) * lifetime_ms * 1e-3 / (2 * math.pi),
+            }
+    except NoBoundState as exc:
+        rows, marker = [], _unbound(exc)
+    _write_csv(out_path, config, header, rows, marker)
     return config
 
 
@@ -366,10 +382,14 @@ def cmd_wf(args, out_path):
         samples=args.samples,
     )
     grid = build_grid(GeometrySpec.sphere(radius, args.grid_div))
-    coupling = Coupling.from_composition(comp, grid, table)
-    # room for the whole level holding state_index: no irrep has more than 3 partners
-    states = solve_bound_states(grid, coupling, max_states=args.state_index + 3)
-    rows, marker = [], f"no state with index {args.state_index} ({len(states)} bound states)"
+    rows, states = [], []
+    try:
+        coupling = Coupling.from_composition(comp, grid, table)
+        # room for the whole level holding state_index: no irrep has more than 3 partners
+        states = solve_bound_states(grid, coupling, max_states=args.state_index + 3)
+        marker = f"no state with index {args.state_index} ({len(states)} bound states)"
+    except NoBoundState as exc:
+        marker = _unbound(exc)
     if args.state_index < len(states):
         half = args.extent * radius
         xs = np.linspace(-half, half, args.samples)

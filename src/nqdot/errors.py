@@ -16,11 +16,9 @@ class AmbiguousKey(NqdotError):
 class NoBoundState(NqdotError):
     """The composition cannot host bound states (sum of n*Re[b] >= 0)."""
 
-    def __init__(self, sum_re_fm: float, message: str = ""):
+    def __init__(self, sum_re_fm: float):
         self.sum_re_fm = sum_re_fm
-        super().__init__(
-            message or f"no bound state: sum of n*Re[b] = {sum_re_fm:+.6g} fm >= 0"
-        )
+        super().__init__(f"no bound state: sum of n*Re[b] = {sum_re_fm:+.6g} fm >= 0")
 
 
 class ZeroAbsorption(NqdotError):

@@ -15,6 +15,7 @@ each point represents a cell of volume a0^3.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Optional
@@ -181,33 +182,16 @@ def periodic_displacements(grid: Grid, kappa: float, tol: float):
         raise ValueError("tol must be > 0")
     log_inv = math.log(1.0 / tol) if tol < 1.0 else 0.0
 
-    ranges = []
-    for axis, period in grid.periodic_axes:
-        n_max = int(math.floor(log_inv / (kappa * period))) if tol < 1.0 else 0
-        ranges.append((axis, period, n_max))
-
+    axes, periods = zip(*grid.periodic_axes)
+    n_max = [math.floor(log_inv / (kappa * p)) for p in periods]
     out = []
-    if len(ranges) == 1:
-        axis, period, n_max = ranges[0]
-        for n1 in range(-n_max, n_max + 1):
-            if n1 == 0:
-                continue
+    for index in itertools.product(*(range(-n, n + 1) for n in n_max)):
+        if not any(index):
+            continue
+        shift = [n * p for n, p in zip(index, periods)]
+        w = math.exp(-kappa * math.hypot(*shift))
+        if w >= tol:
             vec = np.zeros(3)
-            vec[axis] = n1 * period
-            dist = abs(n1) * period
-            w = math.exp(-kappa * dist)
-            if w >= tol:
-                out.append((vec, w))
-    else:
-        (ax_a, p_a, na), (ax_b, p_b, nb) = ranges
-        for n1 in range(-na, na + 1):
-            for n2 in range(-nb, nb + 1):
-                if n1 == 0 and n2 == 0:
-                    continue
-                vec = np.zeros(3)
-                vec[ax_a] = n1 * p_a
-                vec[ax_b] = n2 * p_b
-                w = math.exp(-kappa * math.hypot(n1 * p_a, n2 * p_b))
-                if w >= tol:
-                    out.append((vec, w))
+            vec[list(axes)] = shift
+            out.append((vec, w))
     return out

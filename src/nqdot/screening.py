@@ -21,7 +21,7 @@ from pathlib import Path
 from typing import Optional
 
 from .bulk import bulk_properties
-from .errors import SchemaViolation, UnknownNuclide, ZeroAbsorption
+from .errors import NoBoundState, SchemaViolation, UnknownNuclide, ZeroAbsorption
 from .nuclides import (
     CrystalComposition,
     NuclideTable,
@@ -165,12 +165,11 @@ def screen_materials(records, table: Optional[NuclideTable] = None) -> ScreenRep
             report.dropped.append((rec.id, "radioactive nuclide"))
             continue
         comp = CrystalComposition(rec.formula, species, rec.cell_volume_A3)
-        sum_re, _sum_im = table.composition_sums(comp)
-        if sum_re >= 0.0:
-            report.dropped.append((rec.id, "no bound state (sum n Re[b] >= 0)"))
-            continue
         try:
             bp = bulk_properties(comp, table)
+        except NoBoundState:
+            report.dropped.append((rec.id, "no bound state (sum n Re[b] >= 0)"))
+            continue
         except ZeroAbsorption:
             report.errors.append((rec.id, "no absorption channel (T* infinite)"))
             continue

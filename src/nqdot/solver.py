@@ -37,17 +37,18 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 from scipy.linalg import eigh
 
+from .bulk import bound_sums, bulk_properties
 from .constants import HBAR2_OVER_2MN
 from .errors import GeometryMismatch, NonConvergedEigensolve, ZeroAbsorption
 from .geometry import CYLINDER, SLAB, SPHERE, Grid
 from .kernel import assemble_kernel, kernel_block
-from .nuclides import CrystalComposition, NuclideTable, default_table
+from .nuclides import CrystalComposition, NuclideTable
 
 ENERGY_FLOOR_UEV = 1e-4  # states shallower than this are not searched for
 KAPPA_REL_TOL = 1e-9  # bracket width that ends a root: |1 - lambda| lands near 1e-10
 LAMBDA_TOL = 5e-7
 DEGENERATE_BRANCH_TOL = 1e-9  # branches this close at a root are one level
-KERNEL_ROWS = 64  # target rows per field block: (64, N) stays near L2 size
+KERNEL_ROWS = 64  # rows per field block, (64, N) near L2 size, and per fold block
 
 
 @dataclass(frozen=True)
@@ -73,8 +74,9 @@ class Coupling:
         grid: Grid,
         table: Optional[NuclideTable] = None,
     ) -> "Coupling":
-        table = table or default_table()
-        sum_re, _ = table.composition_sums(comp)
+        """The coupling of comp on grid; raises NoBoundState (bulk.bound_sums)
+        unless the composition binds, so the result has c < 0."""
+        sum_re, _ = bound_sums(comp, table)
         c = grid.cell_weight * (sum_re * 1e-6) / (comp.cell_volume_A3 * 1e-3)
         return cls(c=c, spacing=grid.spacing)
 
@@ -252,11 +254,15 @@ class _OhBlocks:
         if not m:
             return np.zeros(0), np.zeros((n, 0))
         f = _lattice_kernel(self.grid.spacing, kappa, self.m_values)
-        # r[j, k, b, c] = (d/48) sum_g D_bc(g) K[rep_j, g rep_k]
         coef = d / 48 * rep.reshape(48, d * d)
-        r = (f[self.dist2] @ coef).reshape(n_orb, n_orb, d, d)
-        h = frame.transpose(0, 2, 1)[:, None] @ r @ frame[None]
-        h = h.transpose(0, 2, 1, 3).reshape(n_orb * d, -1)[np.ix_(kept, kept)]
+        h = np.empty((n_orb, d, n_orb, d))
+        for j in range(0, n_orb, KERNEL_ROWS):  # the whole gather is (orbits, orbits, 48)
+            rows = slice(j, j + KERNEL_ROWS)
+            # r[j, k, b, c] = (d/48) sum_g D_bc(g) K[rep_j, g rep_k]
+            r = (f[self.dist2[rows]] @ coef).reshape(-1, n_orb, d, d)
+            fold = frame[rows].transpose(0, 2, 1)[:, None] @ r @ frame[None]
+            h[rows] = fold.transpose(0, 2, 1, 3)
+        h = h.reshape(n_orb * d, -1)[np.ix_(kept, kept)]
         vals, vecs = eigh(0.5 * (h + h.T), subset_by_index=[n - m, n - 1])
         return vals[::-1], vecs[:, ::-1]
 
@@ -488,11 +494,8 @@ def finite_lifetime(
     Returns math.inf when the composition has no absorption channel, and
     raises GeometryMismatch for a state from another grid.
     """
-    from .bulk import bulk_properties
-
     if state.grid_signature != grid.signature():
         raise GeometryMismatch("state comes from a different grid")
-    table = table or default_table()
     weight = float(np.sum(np.abs(state.psi) ** 2)) * grid.cell_weight
     try:
         bp = bulk_properties(comp, table)

@@ -5,6 +5,7 @@ import pytest
 from scipy.constants import hbar, m_n, e as e_charge
 
 from nqdot.bulk import (
+    _shell_counts,
     bulk_properties,
     cubic_lattice_sum,
     dispersion,
@@ -115,6 +116,14 @@ def brute_lattice_sum(t, n_max):
     r[n_max, n_max, n_max] = np.inf
     keep = r <= n_max
     return float(np.sum(np.exp(-t * r[keep]) / r[keep]))
+
+
+@pytest.mark.parametrize("n", [12, 20])
+def test_shell_counts_match_brute_force(n):
+    g = np.arange(-n, n + 1)
+    x, y, z = np.meshgrid(g, g, g, indexing="ij")
+    m = (x * x + y * y + z * z).ravel()
+    assert np.array_equal(_shell_counts(n), np.bincount(m[m <= n * n], minlength=n * n + 1))
 
 
 def test_lattice_sum_matches_brute_force():

@@ -27,20 +27,31 @@ def test_bulk_json(tmp_path):
     assert out.with_suffix(".json.config.json").exists()
 
 
+# sum n Re[b] = +22.87 fm: the crystal repels, so nothing binds at any size
+NI4H = {
+    "name": "Ni4H",
+    "cell_volume_A3": 45.0,
+    "mass_density_kg_m3": 8900.0,
+    "species": [
+        {"element": "Ni", "count": 4},
+        {"element": "H", "isotope": 1, "polarized": True, "count": 1},
+    ],
+    "lattice": {
+        "a_A": 45.0 ** (1 / 3),
+        "basis": [
+            {"element": "Ni", "frac": [0, 0, 0]},
+            {"element": "Ni", "frac": [0.5, 0.5, 0]},
+            {"element": "Ni", "frac": [0.5, 0, 0.5]},
+            {"element": "Ni", "frac": [0, 0.5, 0.5]},
+            {"element": "H", "isotope": 1, "polarized": True, "frac": [0.5, 0.5, 0.5]},
+        ],
+    },
+}
+
+
 def test_bulk_unbound_material(tmp_path):
     comp = tmp_path / "nih.json"
-    comp.write_text(
-        json.dumps(
-            {
-                "name": "Ni4H",
-                "cell_volume_A3": 45.0,
-                "species": [
-                    {"element": "Ni", "count": 4},
-                    {"element": "H", "isotope": 1, "polarized": True, "count": 1},
-                ],
-            }
-        )
-    )
+    comp.write_text(json.dumps(NI4H))
     out = tmp_path / "bulk.json"
     assert main(["bulk", "--composition", str(comp), "--output", str(out)]) == 0
     doc = json.loads(out.read_text())
@@ -252,6 +263,65 @@ def test_rabi_timeseries(tmp_path):
     assert 0.01 <= config["summary"]["rabi_MHz"] <= 5.0
     # populated transfer actually happens within the simulated window
     assert max(float(r["n_p"]) for r in rows) > 0.5
+
+
+def assert_replay_identical(out, tmp_path):
+    sidecar = out.with_suffix(out.suffix + ".config.json")
+    replay = tmp_path / "replay.csv"
+    assert main(["--config", str(sidecar), "--output", str(replay)]) == 0
+    assert replay.read_bytes() == out.read_bytes()
+
+
+UNBOUND_MARKER = "# no bound states: sum n Re[b] = +22.87 fm >= 0"
+LEVEL_HEADER = ["label", "degeneracy", "kappa_nm_inv", "e_b_ueV", "lifetime_ms"]
+BAND_HEADER = ["k_nm_inv", "subband", "energy_ueV"]
+
+
+@pytest.mark.parametrize(
+    "argv, header, marker",
+    [
+        (["dot", "--radius-nm", "30"], LEVEL_HEADER, UNBOUND_MARKER),
+        (["wire", "--radius-nm", "25"], LEVEL_HEADER, UNBOUND_MARKER),
+        (["film", "--thickness-nm", "60"], LEVEL_HEADER, UNBOUND_MARKER),
+        (["bands", "--thickness-nm", "60", "--kpoints", "2"], BAND_HEADER, UNBOUND_MARKER),
+        (["bands", "--radius-nm", "25", "--kpoints", "2"], BAND_HEADER, UNBOUND_MARKER),
+        (["bands", "--bulk", "--kpoints", "3"], BAND_HEADER, UNBOUND_MARKER),
+        (["rabi", "--radius-nm", "30"], ["t_us", "n_s", "n_p"], UNBOUND_MARKER),
+        (["wf", "--radius-nm", "30", "--samples", "5"], ["x_nm", "y_nm", "z_nm", "re", "im"],
+         UNBOUND_MARKER),
+        # LiH binds at 12 nm, but no 1p level
+        (["rabi", "--material", "LiH", "--radius-nm", "12"], ["t_us", "n_s", "n_p"],
+         "# radius 12 nm hosts no 1s-1p pair"),
+    ],
+    ids=["dot", "wire", "film", "bands-film", "bands-wire", "bands-bulk", "rabi", "wf",
+         "rabi-pairless"],
+)
+def test_no_bound_states_is_an_answer(tmp_path, argv, header, marker):
+    """Every subcommand answers an empty result the same way: exit 0, the
+    usual header, a marker and no rows, and a sidecar that replays it."""
+    comp = tmp_path / "ni4h.json"
+    comp.write_text(json.dumps(NI4H))
+    if "--material" not in argv:
+        argv = argv + ["--composition", str(comp)]
+    out = tmp_path / "out.csv"
+    assert main(argv + ["--grid-div", "6", "--output", str(out)]) == 0
+    assert marker in out.read_text().splitlines()
+    assert read_rows(out) == (header, [])
+    assert_replay_identical(out, tmp_path)
+
+
+def test_rabi_sweep_leaves_a_pairless_radius_empty(tmp_path):
+    out = tmp_path / "rabi.csv"
+    assert main(
+        ["rabi", "--material", "LiH", "--sweep-radius", "12,30", "--grid-div", "6",
+         "--output", str(out)]
+    ) == 0
+    header, rows = read_rows(out)
+    assert header == ["R_nm", "E0_kV_cm", "rabi_MHz"]
+    assert [r["R_nm"] for r in rows] == ["12", "30"]
+    assert rows[0]["rabi_MHz"] == ""
+    assert float(rows[1]["rabi_MHz"]) > 0
+    assert_replay_identical(out, tmp_path)
 
 
 def test_help_documents_units_for_numeric_flags():
