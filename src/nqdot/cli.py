@@ -277,9 +277,10 @@ def cmd_rabi(args, out_path):
     if not args.periods > 0:
         raise SystemExit2(f"--periods must be positive, got {args.periods}")
 
+    sweep = args.sweep_radius is not None  # the map writes no lifetime
     def one_radius(radius):
-        """(Rabi rate, 1s-1p angular frequency, 1s lifetime) at radius, or
-        None when the sphere binds no 1s-1p pair."""
+        """(Rabi rate, 1s-1p angular frequency, 1s lifetime) at radius, the
+        lifetime None in a sweep, or None when the sphere binds no 1s-1p pair."""
         spec = GeometrySpec.sphere(radius, args.grid_div)
         grid = build_grid(spec)
         coupling = Coupling.from_composition(comp, grid, table)
@@ -304,10 +305,9 @@ def cmd_rabi(args, out_path):
             couplings.append(rabi_frequency(drive, elem))
             omegas.append(abs(elem.omega_mn_rad_s))
         rabi = float(np.linalg.norm(couplings))
-        lifetime_ms = lifetime_with_leakage(ground, grid, comp, coupling, table)
+        lifetime_ms = None if sweep else lifetime_with_leakage(ground, grid, comp, coupling, table)
         return rabi, omegas[0], lifetime_ms
 
-    sweep = args.sweep_radius is not None
     if sweep:
         try:
             radii = [float(r) for r in args.sweep_radius.split(",")]
@@ -540,7 +540,10 @@ def main(argv=None) -> int:
     out_path = Path(output or args.default_output)
 
     limiter = None
-    if args.threads:
+    if args.threads is not None:
+        if args.threads < 1:
+            print(f"error: --threads must be at least 1, got {args.threads}", file=sys.stderr)
+            return 2
         try:
             from threadpoolctl import threadpool_limits
         except ImportError:

@@ -1,4 +1,4 @@
-"""Screened-Coulomb (Yukawa) kernel assembly, aperiodic and Bloch-periodic.
+"""Screened-Coulomb (Yukawa) kernel K(kappa): every evaluation, aperiodic and periodic.
 
 The kernel between sites i and j is
 
@@ -18,9 +18,12 @@ so the production paths resum analytically:
     the diagonal; pairs too close to the periodic axis of a source fall
     back to direct summation.
 
-Both paths are cross-validated against the direct sum in the test suite.
-All matrices are Hermitian; with sources on a single transverse layer
-(wire) or a single column (slab) they are real symmetric for every k.
+Both take the (M, N, 3) displacements kernel_block forms once and are
+cross-validated against the direct sum in the test suite.  All matrices are
+Hermitian; with sources on a single transverse layer (wire) or a single
+column (slab) they are real symmetric for every k.  On a lattice grid
+(Grid.lattice) K is a table f(m) of the squared integer distance
+(_lattice_kernel), and K @ v one FFT convolution (_lattice_apply).
 """
 
 from __future__ import annotations
@@ -36,11 +39,6 @@ from .geometry import Grid, periodic_displacements
 
 _SPECTRAL_TOL = 1e-13  # relative truncation target for resummed series
 _HERMITIAN_EPS = 1e-12
-
-
-def _pairwise_displacements(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """(M, N, 3) displacement array a_i - b_j."""
-    return a[:, None, :] - b[None, :, :]
 
 
 # ---------------------------------------------------------------------------
@@ -119,14 +117,14 @@ def _slab_real_images(period: float, eta: float):
 
 
 def slab_kernel_block(
-    targets: np.ndarray,
-    sources: np.ndarray,
+    d: np.ndarray,
     kappa: float,
     periods: tuple,
     bloch_k2: np.ndarray,
     exclude_self_image: Optional[np.ndarray] = None,
 ) -> np.ndarray:
-    """Yukawa lattice sum for a 2D-periodic (x, y) system, Ewald form.
+    """Yukawa lattice sum for a 2D-periodic (x, y) system, Ewald form, at
+    the (M, N, 3) displacements d, target minus source.
 
     exclude_self_image: boolean (M, N) mask of pairs whose L = 0 term must
     be dropped (diagonal entries of a square kernel).  Those pairs must have
@@ -139,7 +137,6 @@ def slab_kernel_block(
     period = p1
     eta = math.sqrt(math.pi) / period
 
-    d = _pairwise_displacements(targets, sources)  # (M, N, 3)
     dx, dy, dz = d[..., 0], d[..., 1], d[..., 2]
 
     lx, ly = _slab_real_images(period, eta)
@@ -173,15 +170,15 @@ def slab_kernel_block(
 
 
 def wire_kernel_block(
-    targets: np.ndarray,
-    sources: np.ndarray,
+    d: np.ndarray,
     kappa: float,
     period: float,
     bloch_k: float,
     axis: int = 2,
     exclude_self_image: Optional[np.ndarray] = None,
 ) -> np.ndarray:
-    """Yukawa lattice sum for a 1D-periodic system via the K0 resummation.
+    """Yukawa lattice sum for a 1D-periodic system via the K0 resummation,
+    at the (M, N, 3) displacements d, target minus source.
 
         S(rho, z) = (2/p) sum_m K0(rho beta_m) exp(i (G_m - k) z),
         beta_m = sqrt(kappa^2 + (G_m - k)^2),  G_m = 2 pi m / p.
@@ -192,7 +189,6 @@ def wire_kernel_block(
     form  -(2/p) Re ln(1 - e^{(ik - kappa) p}).
     """
     trans = [a for a in range(3) if a != axis]
-    d = _pairwise_displacements(targets, sources)
     rho = np.hypot(d[..., trans[0]], d[..., trans[1]])
     dz = d[..., axis]
 
@@ -218,11 +214,7 @@ def wire_kernel_block(
         ph = np.exp(1j * q[None, None, :] * dz[..., None])
         out = (2.0 / period) * (k0_vals * ph).sum(axis=-1)
 
-    coincident = (
-        exclude_self_image
-        if exclude_self_image is not None
-        else np.zeros(near_line.shape, dtype=bool)
-    )
+    coincident = np.zeros_like(near_line) if exclude_self_image is None else exclude_self_image
     if np.any(coincident):
         w = np.exp((1j * bloch_k - kappa) * period)
         diag = -(2.0 / period) * np.log(1.0 - w).real
@@ -250,7 +242,10 @@ def wire_kernel_block(
 # ---------------------------------------------------------------------------
 
 
-def _bloch_vector(grid: Grid, bloch_k) -> np.ndarray:
+def _bloch_vector(grid: Grid, kappa: float, bloch_k) -> np.ndarray:
+    """bloch_k (None: k = 0) as a 3-vector zero off the periodic axes; kappa must be > 0."""
+    if kappa <= 0:
+        raise ValueError("kappa must be > 0")
     k = np.zeros(3)
     if bloch_k is None:
         return k
@@ -287,6 +282,27 @@ def _require_clearance(r: np.ndarray, grid: Grid, self_mask) -> None:
         )
 
 
+def _image_sum(d: np.ndarray, grid: Grid, kappa: float, bloch_k, self_mask) -> np.ndarray:
+    """The lattice sum of a periodic grid at the (M, N, 3) displacements d,
+    target minus source, under kernel_block's near-source rule."""
+    k = _bloch_vector(grid, kappa, bloch_k)
+    # minimum-image distance, one axis at a time
+    periods = dict(grid.periodic_axes)
+    r2 = np.zeros(d.shape[:2])
+    for axis in range(3):
+        da = d[..., axis]
+        if axis in periods:
+            da = da - periods[axis] * np.round(da / periods[axis])
+        r2 += da * da
+    _require_clearance(np.sqrt(r2), grid, self_mask)
+    if len(periods) == 1:
+        (axis, period), = grid.periodic_axes
+        return _maybe_real(wire_kernel_block(d, kappa, period, float(k[axis]), axis, self_mask))
+    if tuple(periods) != (0, 1):
+        raise ValueError("two periodic axes must be x and y")
+    return _maybe_real(slab_kernel_block(d, kappa, tuple(periods.values()), k[:2], self_mask))
+
+
 def kernel_block(
     targets: np.ndarray,
     grid: Grid,
@@ -302,58 +318,31 @@ def kernel_block(
     than a0/10, measured on periodic axes to the nearest image of the
     source, raises EvalTooCloseToSource.
     """
-    if kappa <= 0:
-        raise ValueError("kappa must be > 0")
-    k = _bloch_vector(grid, bloch_k)
     sources = grid.points
-    n_periodic = len(grid.periodic_axes)
+    if grid.periodic_axes:
+        return _image_sum(targets[:, None, :] - sources, grid, kappa, bloch_k, self_mask)
+    _bloch_vector(grid, kappa, bloch_k)  # rejects kappa <= 0 and a nonzero k
 
-    if n_periodic == 0:
-        # |t - s|^2 via the Gram expansion: one GEMM instead of an (M, N, 3)
-        # broadcast, worked in place so a block holds at most two (M, N)
-        # arrays; the clip absorbs last-bit negatives.  Its rounding fuzz
-        # (~1e-16 x |r|^2) sits far below the a0/10 clearance.
-        gram2 = targets @ sources.T
-        gram2 *= 2.0
-        t2 = np.einsum("ij,ij->i", targets, targets)
-        s2 = np.einsum("ij,ij->i", sources, sources)
-        r = t2[:, None] + s2[None, :]
-        r -= gram2
-        del gram2
-        np.maximum(r, 0.0, out=r)
-        np.sqrt(r, out=r)
-        _require_clearance(r, grid, self_mask)
-        if self_mask is not None:
-            np.copyto(r, np.inf, where=self_mask)
-        out = np.multiply(r, -kappa)
-        np.exp(out, out=out)
-        out /= r
-        return out
-
-    # minimum-image distance, one axis at a time
-    periods = dict(grid.periodic_axes)
-    r2 = np.zeros((len(targets), len(sources)))
-    for axis in range(3):
-        d = targets[:, axis, None] - sources[None, :, axis]
-        if axis in periods:
-            d -= periods[axis] * np.round(d / periods[axis])
-        r2 += d * d
-    _require_clearance(np.sqrt(r2), grid, self_mask)
-
-    if n_periodic == 1:
-        (axis, period), = grid.periodic_axes
-        return _maybe_real(
-            wire_kernel_block(
-                targets, sources, kappa, period, float(k[axis]), axis, self_mask
-            )
-        )
-
-    if tuple(periods) != (0, 1):
-        raise ValueError("two periodic axes must be x and y")
-    k2 = np.array([k[0], k[1]])
-    return _maybe_real(
-        slab_kernel_block(targets, sources, kappa, tuple(periods.values()), k2, self_mask)
-    )
+    # |t - s|^2 via the Gram expansion: one GEMM instead of an (M, N, 3)
+    # broadcast, worked in place so a block holds at most two (M, N)
+    # arrays; the clip absorbs last-bit negatives.  Its rounding fuzz
+    # (~1e-16 x |r|^2) sits far below the a0/10 clearance.
+    gram2 = targets @ sources.T
+    gram2 *= 2.0
+    t2 = np.einsum("ij,ij->i", targets, targets)
+    s2 = np.einsum("ij,ij->i", sources, sources)
+    r = t2[:, None] + s2[None, :]
+    r -= gram2
+    del gram2
+    np.maximum(r, 0.0, out=r)
+    np.sqrt(r, out=r)
+    _require_clearance(r, grid, self_mask)
+    if self_mask is not None:
+        np.copyto(r, np.inf, where=self_mask)
+    out = np.multiply(r, -kappa)
+    np.exp(out, out=out)
+    out /= r
+    return out
 
 
 def assemble_kernel(grid: Grid, kappa: float, bloch_k=None) -> np.ndarray:
@@ -362,20 +351,68 @@ def assemble_kernel(grid: Grid, kappa: float, bloch_k=None) -> np.ndarray:
     Aperiodic: K_ij = exp(-kappa r_ij)/r_ij off the diagonal, K_ii = 0.
     Periodic: image-resummed lattice kernel; the diagonal carries the
     physical self-image sum (all L != 0).  It is evaluated once per class
-    of equal pair displacements (Grid.pair_classes), against one source at
-    the origin, and gathered into N x N; the gathered matrix equals the
-    pair-by-pair one bit for bit.
+    of equal pair displacements (Grid.pair_classes) and gathered into
+    N x N; the gathered matrix equals the pair-by-pair one bit for bit.
     """
     if grid.periodic_axes:
-        index, displacements, self_pair = grid.pair_classes
-        origin = Grid(np.zeros((1, 3)), grid.spacing, grid.periodic_axes)
-        values = kernel_block(displacements, origin, kappa, bloch_k, self_pair[:, None])
-        mat = values[:, 0][index]
+        index, disp, self_pair = grid.pair_classes
+        mat = _image_sum(disp[:, None], grid, kappa, bloch_k, self_pair[:, None])[:, 0][index]
     else:
         mask = np.eye(grid.n_points, dtype=bool)
         mat = kernel_block(grid.points, grid, kappa, bloch_k, self_mask=mask)
     # enforce exact Hermiticity against last-bit asymmetries
     return 0.5 * (mat + mat.conj().T)
+
+
+def _lattice_kernel(a0: float, kappa: float, m) -> np.ndarray:
+    """K(kappa) between two lattice sites at squared integer distance m,
+    f(m) = exp(-kappa a0 sqrt m) / (a0 sqrt m) with f(0) = 0: a site with
+    itself drops its own term, as the diagonal of assemble_kernel does."""
+    r = a0 * np.sqrt(m)
+    r[r == 0] = np.inf
+    return np.exp(-kappa * r) / r
+
+
+def _lattice_apply(grid: Grid, kappa: float, vecs, targets):
+    """K(kappa) @ vecs at integer targets (in units of a0) of a lattice grid
+    (Grid.lattice).  K depends only on the integer displacement there
+    (_lattice_kernel), so K @ v is the linear convolution of v's site cube
+    with the kernel cube, done by FFT.  Each axis is zero-padded to a fast
+    length (next_fast_len) of at least the targets' plus the sites' extent
+    less one, which keeps the wanted outputs free of wrap-around.  Columns,
+    and the real and imaginary parts of a complex one, are transformed one
+    at a time, so temporaries stay at a few cubes."""
+    # imported here, off the cold start; a solve has loaded it with scipy.optimize
+    from scipy.fft import next_fast_len
+
+    sites = grid.lattice
+    targets = np.asarray(targets, dtype=np.intp)
+    s_lo, s_hi = sites.min(axis=0), sites.max(axis=0)
+    t_lo, t_hi = targets.min(axis=0), targets.max(axis=0)
+    n_disp = (t_hi - t_lo) + (s_hi - s_lo) + 1  # displacements t - s per axis
+    shape = tuple(next_fast_len(int(n), real=True) for n in n_disp)
+    axes = (0, 1, 2)
+    d2 = [(np.arange(n) + lo) ** 2 for n, lo in zip(n_disp, t_lo - s_hi)]
+    m = d2[0][:, None, None] + d2[1][:, None] + d2[2]
+    kernel_ft = np.fft.rfftn(_lattice_kernel(grid.spacing, kappa, m), shape, axes=axes)
+    del m
+    at_sites = tuple((sites - s_lo).T)
+    at_targets = tuple((targets - t_lo + (s_hi - s_lo)).T)
+    cube = np.zeros(shape)
+
+    def convolve(values):
+        cube[at_sites] = values
+        spectrum = np.fft.rfftn(cube, axes=axes)
+        spectrum *= kernel_ft
+        return np.fft.irfftn(spectrum, shape, axes=axes)[at_targets]
+
+    cols = np.asarray(vecs).reshape(len(sites), -1)
+    out = np.empty((len(targets), cols.shape[1]), dtype=np.result_type(cols, float))
+    for j, col in enumerate(cols.T):
+        out[:, j] = convolve(col.real)
+        if np.iscomplexobj(col):
+            out[:, j] += 1j * convolve(col.imag)
+    return out.reshape((len(targets),) + np.shape(vecs)[1:])
 
 
 def assemble_kernel_direct(
@@ -388,9 +425,9 @@ def assemble_kernel_direct(
     """
     if kappa <= 0:
         raise UnboundedImageSet(f"kappa = {kappa:g} <= 0")
-    k = _bloch_vector(grid, bloch_k)
+    k = _bloch_vector(grid, kappa, bloch_k)
     pts = grid.points
-    d = _pairwise_displacements(pts, pts)
+    d = pts[:, None, :] - pts
     r = np.sqrt((d * d).sum(axis=-1))
     np.fill_diagonal(r, np.inf)
     out = np.exp(-kappa * r) / r

@@ -14,14 +14,15 @@ Branches within 1e-9 of it at the root join the level.  A root that misses
 |lambda - 1| <= LAMBDA_TOL raises NonConvergedEigensolve.  Binding energy
 follows from the root: E_b = (hbar^2/2m_n) kappa^2.
 
-Branches are counted and rooted one symmetry block at a time.  Sphere
-grids are integer lattices (Grid.lattice) invariant under the 48 signed
-axis permutations (O_h), so K(kappa) splits into one block per irrep
-(_OhBlocks), read from one table of K(kappa) over the squared integer
-distance (_lattice_kernel).  A level of a d-dimensional irrep is d-fold
-degenerate, and the irrep names it (A1g s, T1u p or f, Eg/T2g d, A2u/T2u
-f).  Other grids, off-lattice ones included, are one dense block.
-max_states caps the states returned at whole levels.
+Branches are counted and rooted one symmetry block at a time, all through
+TopEigenSolver.  Sphere grids are integer lattices (Grid.lattice)
+invariant under the 48 signed axis permutations (O_h), so K(kappa) splits
+into one block per irrep (_OhBlocks), read from one table of K(kappa) over
+the squared integer distance (kernel._lattice_kernel).  A level of a
+d-dimensional irrep is d-fold degenerate, and the irrep names it (A1g s,
+T1u p or f, Eg/T2g d, A2u/T2u f).  Other grids, off-lattice ones
+included, are one dense block.  max_states caps the states returned at
+whole levels.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ from .bulk import bound_sums, bulk_properties
 from .constants import HBAR2_OVER_2MN
 from .errors import GeometryMismatch, NonConvergedEigensolve, ZeroAbsorption
 from .geometry import CYLINDER, SLAB, SPHERE, Grid
-from .kernel import assemble_kernel, kernel_block
+from .kernel import _lattice_apply, _lattice_kernel, assemble_kernel, kernel_block
 from .nuclides import CrystalComposition, NuclideTable
 
 ENERGY_FLOOR_UEV = 1e-4  # states shallower than this are not searched for
@@ -281,22 +282,31 @@ class _OhBlocks:
 
 
 class TopEigenSolver:
-    """Top-m eigenpairs of one symmetry block of K(kappa) per call.  blocks
-    holds each block's (irrep name, d): the O_h irreps on O_h-invariant
-    lattice grids (every build_grid sphere), else one dense-eigh block
-    (None, 1), whose vectors are gauge-fixed unit states and which alone
-    returns the kernel times them (the irrep blocks hold no N x N matrix;
-    _OhBlocks.partners expands their vectors)."""
+    """Eigenpairs of K(kappa) for one grid and coupling, one symmetry block
+    at a time.  blocks holds each block's (irrep name, d): the O_h irreps on
+    O_h-invariant lattice grids (every build_grid sphere), else one dense
+    eigh block (None, 1) of gauge-fixed unit states.
 
-    def __init__(self, grid: Grid, bloch_k=None):
+    A call diagonalizes afresh.  branches memoizes per (kappa, block) the
+    top ceil(max_states / d) + 1 values, so a level running past the cap
+    shows and none is diagonalized twice in one solve; level reads a root's
+    vectors from that memo and expands irrep vectors into partner states."""
+
+    def __init__(self, grid: Grid, coupling: Coupling, max_states: int, bloch_k=None):
         self.grid = grid
         self.bloch_k = bloch_k
         self.oh = _OhBlocks.of(grid) if bloch_k is None else None
         self.blocks = [(None, 1)]
         if self.oh is not None:
             self.blocks = [(name, rep.shape[1]) for name, rep, *_ in self.oh.irreps]
+        self.sizes = [-(-max_states // d) + 1 for _name, d in self.blocks]
+        self.strength = -coupling.c
+        self._memo = {}
 
     def __call__(self, kappa: float, block: int, m: int) -> tuple:
+        """Top m eigenvalues of the block, descending, their vectors as
+        columns, and K times them (None for an irrep block, which holds no
+        N x N matrix)."""
         if self.oh is not None:
             return self.oh.top(kappa, block, m) + (None,)
         mat = assemble_kernel(self.grid, kappa, self.bloch_k)
@@ -306,36 +316,33 @@ class TopEigenSolver:
         vecs = np.column_stack([_fix_phase(v) for v in vecs[:, ::-1].T])
         return vals[::-1], vecs, mat @ vecs
 
+    def _spectrum(self, kappa: float, block: int) -> tuple:
+        key = (float(kappa), block)
+        if key not in self._memo:
+            self._memo[key] = self(key[0], block, self.sizes[block])
+        return self._memo[key]
+
+    def branches(self, kappa: float, block: int) -> np.ndarray:
+        """Top eigenvalues of -c K(kappa) in the block, descending."""
+        return self.strength * self._spectrum(kappa, block)[0]
+
+    def level(self, kappa: float, block: int, members: list) -> tuple:
+        """The unit states of the block's branches members at kappa, as
+        columns, and K(kappa) times them."""
+        _values, vecs, k_vecs = self._spectrum(kappa, block)
+        if k_vecs is not None:
+            return vecs[:, members], k_vecs[:, members]
+        units = np.hstack([self.oh.partners(block, x) for x in vecs[:, members].T])
+        return units, _lattice_apply(self.grid, kappa, units, self.grid.lattice)
+
 
 def kappa_floor() -> float:
     """Smallest kappa searched: the 1e-4 ueV binding-energy equivalent."""
     return math.sqrt(ENERGY_FLOOR_UEV / HBAR2_OVER_2MN)
 
 
-class _BranchValues:
-    """Top eigenvalues of -c K(kappa) per symmetry block, descending:
-    ceil(max_states / d) + 1 for d-fold levels, so a level running past the
-    cap shows.  Memoized per (kappa, block): none is diagonalized twice in
-    one solve, and the vectors at a root cost no further eigen call."""
-
-    def __init__(self, grid: Grid, coupling: Coupling, max_states: int, bloch_k=None):
-        self.eigen = TopEigenSolver(grid, bloch_k)
-        self.sizes = [-(-max_states // d) + 1 for _name, d in self.eigen.blocks]
-        self.strength = -coupling.c
-        self._memo = {}
-
-    def spectrum(self, kappa: float, block: int) -> tuple:
-        key = (float(kappa), block)
-        if key not in self._memo:
-            self._memo[key] = self.eigen(key[0], block, self.sizes[block])
-        return self._memo[key]
-
-    def __call__(self, kappa: float, block: int) -> np.ndarray:
-        return self.strength * self.spectrum(kappa, block)[0]
-
-
-def _branch_excess(kappa: float, branches: _BranchValues, block: int, b: int) -> float:
-    return branches(kappa, block)[b] - 1.0
+def _branch_excess(kappa: float, eigen: TopEigenSolver, block: int, b: int) -> float:
+    return eigen.branches(kappa, block)[b] - 1.0
 
 
 def solve_bound_states(
@@ -365,31 +372,31 @@ def solve_bound_states(
     from scipy.optimize import brentq
 
     k_lo, k_hi = kappa_floor(), coupling.kappa_star
-    branches = _BranchValues(grid, coupling, max_states, bloch_k)
+    eigen = TopEigenSolver(grid, coupling, max_states, bloch_k)
     levels = []  # (kappa_root, block, [branch indices in the block])
-    for block, (name, _d) in enumerate(branches.eigen.blocks):
-        n_bound = int(np.count_nonzero(branches(k_lo, block) > 1.0))
+    for block, (name, _d) in enumerate(eigen.blocks):
+        n_bound = int(np.count_nonzero(eigen.branches(k_lo, block) > 1.0))
         b = 0
         while b < n_bound:
             branch = f"branch {b}" if name is None else f"{name} branch {b}"
-            if branches(k_hi, block)[b] >= 1.0:
+            if eigen.branches(k_hi, block)[b] >= 1.0:
                 raise NonConvergedEigensolve(
                     f"{branch} is still above 1 at kappa = {k_hi:.6g}/nm: "
                     "its root lies outside the bracket"
                 )
-            # branches goes in through args, not a closure: brentq wraps f in
+            # eigen goes in through args, not a closure: brentq wraps f in
             # a self-referencing closure, so whatever f closes over would
             # outlive the solve until the next full gc
             kappa, info = brentq(
                 _branch_excess,
                 k_lo,
                 k_hi,
-                args=(branches, block, b),
+                args=(eigen, block, b),
                 rtol=KAPPA_REL_TOL,
                 full_output=True,
                 disp=False,
             )
-            lam = branches(kappa, block)
+            lam = eigen.branches(kappa, block)
             if not info.converged or abs(lam[b] - 1.0) > LAMBDA_TOL:
                 raise NonConvergedEigensolve(
                     f"{branch}: |lambda - 1| = {abs(lam[b] - 1.0):.3e} at "
@@ -406,15 +413,10 @@ def solve_bound_states(
     states = []
     named = []  # (irrep, ell) of each level so far, for radial ranks
     for group, (kappa_root, block, members) in enumerate(levels):
-        irrep, d = branches.eigen.blocks[block]
+        irrep, d = eigen.blocks[block]
         if len(states) + d * len(members) > max_states:
             break
-        _values, vecs, k_vecs = branches.spectrum(kappa_root, block)
-        if k_vecs is None:
-            units = np.hstack([branches.eigen.oh.partners(block, x) for x in vecs[:, members].T])
-            k_units = _lattice_apply(grid, kappa_root, units, grid.lattice)
-        else:
-            units, k_units = vecs[:, members], k_vecs[:, members]
+        units, k_units = eigen.level(kappa_root, block, members)
         residuals = np.linalg.norm(units + coupling.c * k_units, axis=0)
         scales = [
             np.real(np.vdot(kv, v)) / np.real(np.vdot(kv, kv))
@@ -468,11 +470,12 @@ def _level_label(irrep, row1: np.ndarray, grid: Grid, group: int, named: list) -
 
 def has_bound_state(grid: Grid, coupling: Coupling, bloch_k=None) -> bool:
     """Existence test: the top branch of block 0 above 1 at the kappa
-    floor.  On O_h grids block 0 is A1g, which holds the positive Perron
-    vector, so that branch is the top one of the whole kernel."""
+    floor, the one value a cap of 0 states asks for.  On O_h grids block 0
+    is A1g, which holds the positive Perron vector, so that branch is the
+    top one of the whole kernel."""
     if coupling.c >= 0:
         return False
-    return bool(-coupling.c * TopEigenSolver(grid, bloch_k)(kappa_floor(), 0, 1)[0][0] > 1.0)
+    return bool(TopEigenSolver(grid, coupling, 0, bloch_k).branches(kappa_floor(), 0)[0] > 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -609,66 +612,6 @@ def reconstruction_scale(
             "state and coupling are inconsistent"
         )
     return s, rel
-
-
-def _fft_length(n: int) -> int:
-    """Smallest 2^a 3^b 5^c >= n, a length the FFT transforms fast."""
-    while True:
-        m = n
-        for p in (2, 3, 5):
-            while m % p == 0:
-                m //= p
-        if m == 1:
-            return n
-        n += 1
-
-
-def _lattice_kernel(a0: float, kappa: float, m) -> np.ndarray:
-    """K(kappa) between two lattice sites at squared integer distance m,
-    f(m) = exp(-kappa a0 sqrt m) / (a0 sqrt m) with f(0) = 0: a site with
-    itself drops its own term, as the diagonal of assemble_kernel does."""
-    r = a0 * np.sqrt(m)
-    r[r == 0] = np.inf
-    return np.exp(-kappa * r) / r
-
-
-def _lattice_apply(grid: Grid, kappa: float, vecs, targets):
-    """K(kappa) @ vecs at integer targets (in units of a0) of a lattice grid
-    (Grid.lattice).  K depends only on the integer displacement there
-    (_lattice_kernel), so K @ v is the linear convolution of v's site cube
-    with the kernel cube, done by FFT.  Each axis is zero-padded to a
-    2^a 3^b 5^c length of at least the targets' extent plus the sites'
-    extent less one, which keeps the wanted outputs free of wrap-around.
-    Columns, and the real and imaginary parts of a complex one, are
-    transformed one at a time, so temporaries stay at a few cubes."""
-    sites = grid.lattice
-    targets = np.asarray(targets, dtype=np.intp)
-    s_lo, s_hi = sites.min(axis=0), sites.max(axis=0)
-    t_lo, t_hi = targets.min(axis=0), targets.max(axis=0)
-    n_disp = (t_hi - t_lo) + (s_hi - s_lo) + 1  # displacements t - s per axis
-    shape = tuple(_fft_length(int(n)) for n in n_disp)
-    axes = (0, 1, 2)
-    d2 = [(np.arange(n) + lo) ** 2 for n, lo in zip(n_disp, t_lo - s_hi)]
-    m = d2[0][:, None, None] + d2[1][:, None] + d2[2]
-    kernel_ft = np.fft.rfftn(_lattice_kernel(grid.spacing, kappa, m), shape, axes=axes)
-    del m
-    at_sites = tuple((sites - s_lo).T)
-    at_targets = tuple((targets - t_lo + (s_hi - s_lo)).T)
-    cube = np.zeros(shape)
-
-    def convolve(values):
-        cube[at_sites] = values
-        spectrum = np.fft.rfftn(cube, axes=axes)
-        spectrum *= kernel_ft
-        return np.fft.irfftn(spectrum, shape, axes=axes)[at_targets]
-
-    cols = np.asarray(vecs).reshape(len(sites), -1)
-    out = np.empty((len(targets), cols.shape[1]), dtype=np.result_type(cols, float))
-    for j, col in enumerate(cols.T):
-        out[:, j] = convolve(col.real)
-        if np.iscomplexobj(col):
-            out[:, j] += 1j * convolve(col.imag)
-    return out.reshape((len(targets),) + np.shape(vecs)[1:])
 
 
 def _field_at(points, state, grid):

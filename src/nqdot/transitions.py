@@ -13,7 +13,7 @@ sphere center (trapezoidal weights); the reconstructed field supplies
 values outside the crystal, and each state is normalized on that same box.
 Every box point, like every sphere site, is a0 times an integer vector, so
 the exterior values are one FFT convolution of psi with the lattice kernel
-(solver._lattice_apply), computed afresh on every call.
+(kernel._lattice_apply), computed afresh on every call.
 """
 
 from __future__ import annotations
@@ -27,7 +27,8 @@ import numpy as np
 from .constants import EPS0_SI, HBAR_SI, HBAR_UEV_S, KV_PER_CM, M_N_SI, NM
 from .errors import GeometryMismatch, StepTooCoarse, ZeroDrive
 from .geometry import SPHERE, Grid
-from .solver import BoundState, Coupling, _lattice_apply, reconstruction_scale
+from .kernel import _lattice_apply
+from .solver import BoundState, Coupling, reconstruction_scale
 
 
 @dataclass(frozen=True)

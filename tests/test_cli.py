@@ -310,7 +310,13 @@ def test_no_bound_states_is_an_answer(tmp_path, argv, header, marker):
     assert_replay_identical(out, tmp_path)
 
 
-def test_rabi_sweep_leaves_a_pairless_radius_empty(tmp_path):
+def test_rabi_sweep_leaves_a_pairless_radius_empty(tmp_path, monkeypatch):
+    """The map writes no lifetime, so the sweep computes none."""
+
+    def no_lifetime(*args, **kwargs):
+        raise AssertionError("rabi --sweep-radius computed a lifetime")
+
+    monkeypatch.setattr("nqdot.cli.lifetime_with_leakage", no_lifetime)
     out = tmp_path / "rabi.csv"
     assert main(
         ["rabi", "--material", "LiH", "--sweep-radius", "12,30", "--grid-div", "6",
@@ -424,6 +430,8 @@ def test_sidecar_replay_is_byte_identical(tmp_path, monkeypatch, name):
         (["rabi", "--periods", "-1"], "--periods"),
         (["rabi", "--periods", "0"], "--periods"),
         (["rabi", "--sweep-radius", ""], "--sweep-radius"),
+        (["bulk", "--threads", "0"], "--threads"),
+        (["dot", "--radius-nm", "30", "--threads", "-1"], "--threads"),
     ],
     ids=lambda v: "_".join(v) if isinstance(v, list) else None,
 )

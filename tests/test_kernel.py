@@ -5,7 +5,7 @@ import pytest
 
 from nqdot.geometry import GeometrySpec, Grid, build_grid
 from nqdot.kernel import assemble_kernel, assemble_kernel_direct, kernel_block
-from nqdot.solver import Coupling, _BranchValues
+from nqdot.solver import Coupling, TopEigenSolver
 
 
 def two_point_grid(distance):
@@ -68,6 +68,29 @@ def test_wire_kernel_matches_direct_sum(kappa):
     k_fast = assemble_kernel(grid, kappa)
     k_ref = assemble_kernel_direct(grid, kappa, tol=1e-16)
     assert np.max(np.abs(k_fast - k_ref)) < 1e-11
+
+
+@pytest.mark.parametrize("kz", [0.0, 0.7])
+@pytest.mark.parametrize("kappa", [2.0, 0.6])
+def test_wire_near_line_targets_match_direct_sum(kappa, kz):
+    """Targets on a source's periodic line (rho = 0) and 0.12 a0 off it,
+    where the K0 series is replaced by a per-pair direct image sum."""
+    grid = build_grid(GeometrySpec.cylinder(5.0, 5))
+    (axis, period), = grid.periodic_axes
+    a0, source = grid.spacing, grid.points[7]
+    offsets = np.zeros((2, 3))
+    offsets[:, axis] = 0.3 * a0
+    offsets[1, (axis + 1) % 3] = 0.12 * a0
+    targets = source + offsets
+    k = np.zeros(3)
+    k[axis] = kz
+    shifts = np.arange(-60, 61) * period  # exp(-0.6 x 60 a0) ~ 2e-16
+    d = targets[:, None, :] - grid.points
+    trans = np.sum(np.delete(d, axis, axis=2) ** 2, axis=2)
+    r = np.sqrt(trans[..., None] + (d[..., axis, None] + shifts) ** 2)
+    direct = np.sum(np.exp(1j * kz * shifts) * np.exp(-kappa * r) / r, axis=2)
+    fast = kernel_block(targets, grid, kappa, k)
+    assert np.allclose(fast, direct, rtol=1e-11, atol=0)
 
 
 def random_periodic_grids():
@@ -202,8 +225,10 @@ def test_branch_values_linear_in_coupling(lih):
     grid = build_grid(GeometrySpec.sphere(6.0, 6))
     c_full = Coupling.from_composition(lih, grid)
     c_tiny = Coupling(c=c_full.c * 1e-3, spacing=c_full.spacing)
-    full = _BranchValues(grid, c_full, 3)
-    tiny = _BranchValues(grid, c_tiny, 3)
+    full = TopEigenSolver(grid, c_full, 3)
+    tiny = TopEigenSolver(grid, c_tiny, 3)
     for kappa in np.geomspace(0.3, 0.02, 5):
-        for block in range(len(full.eigen.blocks)):
-            assert np.allclose(tiny(kappa, block), full(kappa, block) * 1e-3, rtol=1e-12)
+        for block in range(len(full.blocks)):
+            assert np.allclose(
+                tiny.branches(kappa, block), full.branches(kappa, block) * 1e-3, rtol=1e-12
+            )

@@ -10,15 +10,13 @@ from scipy.special import spherical_jn, spherical_kn
 from nqdot.constants import HBAR2_OVER_2MN
 from nqdot.errors import EvalTooCloseToSource, NonConvergedEigensolve
 from nqdot.geometry import GeometrySpec, Grid, build_grid
-from nqdot.kernel import assemble_kernel, kernel_block
+from nqdot.kernel import _lattice_apply, assemble_kernel, kernel_block
 from nqdot.nuclides import CrystalComposition, NuclideTable, ScatteringEntry
 from nqdot.solver import (
     BoundState,
     Coupling,
     _SHELL_FITS,
     TopEigenSolver,
-    _BranchValues,
-    _lattice_apply,
     _oh_group,
     exterior_weight,
     finite_lifetime,
@@ -257,15 +255,19 @@ def test_branch_scan_existence_signals(lih):
     """Top branch on six log-spaced kappa from kappa* down to the floor."""
     g30 = build_grid(GeometrySpec.sphere(30.0, 10))
     c30 = Coupling.from_composition(lih, g30)
-    branches = _BranchValues(g30, c30, 1)
-    top = np.array([branches(k, 0)[0] for k in np.geomspace(c30.kappa_star, kappa_floor(), 6)])
+    eigen = TopEigenSolver(g30, c30, 1)
+    top = np.array(
+        [eigen.branches(k, 0)[0] for k in np.geomspace(c30.kappa_star, kappa_floor(), 6)]
+    )
     assert top[-1] > 1.0  # lambda_1 at the kappa floor
     assert np.count_nonzero(np.diff(np.signbit(top - 1.0))) == 1  # monotone: one root
 
     g10 = build_grid(GeometrySpec.sphere(10.0, 10))
     c10 = Coupling.from_composition(lih, g10)
-    branches = _BranchValues(g10, c10, 1)
-    top = np.array([branches(k, 0)[0] for k in np.geomspace(c10.kappa_star, kappa_floor(), 6)])
+    eigen = TopEigenSolver(g10, c10, 1)
+    top = np.array(
+        [eigen.branches(k, 0)[0] for k in np.geomspace(c10.kappa_star, kappa_floor(), 6)]
+    )
     assert np.all(top < 1.0)
     assert np.count_nonzero(np.diff(np.signbit(top - 1.0))) == 0
     assert not has_bound_state(g10, c10)
@@ -294,7 +296,7 @@ def test_root_at_a_step_raises(lih, monkeypatch):
     def step(self, kappa, block):
         return np.array([1.5 if kappa < kappa_0 else 0.5])
 
-    monkeypatch.setattr(_BranchValues, "__call__", step)
+    monkeypatch.setattr(TopEigenSolver, "branches", step)
     with pytest.raises(NonConvergedEigensolve):
         solve_bound_states(grid, coupling, max_states=1)
 
@@ -322,9 +324,10 @@ def test_cube_grid_skips_empty_irrep_blocks():
     blocks are skipped, and the one bound level is the 1s."""
     pts = np.array(list(itertools.product((-1.0, 0.0, 1.0), repeat=3)))
     grid = Grid(points=pts, spacing=1.0, periodic_axes=())
-    eigen = TopEigenSolver(grid)
+    coupling = Coupling(c=-0.19, spacing=1.0)
+    eigen = TopEigenSolver(grid, coupling, 1)
     assert any(len(eigen(0.5, b, 1)[0]) == 0 for b in range(len(eigen.blocks)))
-    states = solve_bound_states(grid, Coupling(c=-0.19, spacing=1.0), max_states=12)
+    states = solve_bound_states(grid, coupling, max_states=12)
     assert [s.level_label for s in states] == ["1s"]
     assert states[0].kappa == pytest.approx(0.680609211874, rel=1e-11)
 
@@ -436,12 +439,12 @@ def test_symmetry_blocks_match_dense_reference(lih):
     grid = build_grid(GeometrySpec.sphere(40.0, 6))
     coupling = Coupling.from_composition(lih, grid)
     m = 16
-    branches = _BranchValues(grid, coupling, m)
-    assert branches.eigen.oh is not None
+    eigen = TopEigenSolver(grid, coupling, m)
+    assert eigen.oh is not None
     for kappa in np.geomspace(kappa_floor(), coupling.kappa_star, 5):
         dense = -coupling.c * np.linalg.eigvalsh(assemble_kernel(grid, kappa))[::-1][:m]
         merged = np.concatenate(
-            [np.repeat(branches(kappa, b), d) for b, (_n, d) in enumerate(branches.eigen.blocks)]
+            [np.repeat(eigen.branches(kappa, b), d) for b, (_n, d) in enumerate(eigen.blocks)]
         )
         assert np.allclose(np.sort(merged)[::-1][:m], dense, rtol=1e-12, atol=0)
 
@@ -725,7 +728,8 @@ def test_off_lattice_sites_take_kernel_block(sites, monkeypatch):
     else:
         pts = sphere.points + a0 / 3
     grid = Grid(pts, a0, ())
-    assert grid.lattice is None and TopEigenSolver(grid).blocks == [(None, 1)]
+    assert grid.lattice is None
+    assert TopEigenSolver(grid, Coupling(c=-0.1, spacing=a0), 1).blocks == [(None, 1)]
     calls = []
 
     def counted(*args, **kwargs):
