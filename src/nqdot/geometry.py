@@ -125,12 +125,13 @@ class Grid:
     @functools.cached_property
     def lattice(self) -> Optional[np.ndarray]:
         """The integer coordinates n of the sites, points == spacing * n
-        exactly, found once per grid; None on a periodic grid, with a site
-        off the a0 lattice or with two sites at one point.  Every build_grid
-        sphere has them."""
+        exactly, found once per grid; None with a site off the a0 lattice or
+        with two sites at one point.  Every build_grid sphere has them, and
+        every build_grid wire, its one layer at n_z = 0; a build_grid film
+        of even grid_div sits at half-integer heights and has none."""
         n = np.rint(self.points / self.spacing).astype(np.intp)
         on_lattice = np.array_equal(n * self.spacing, self.points)
-        if self.periodic_axes or not on_lattice or len(np.unique(n, axis=0)) < len(n):
+        if not on_lattice or len(np.unique(n, axis=0)) < len(n):
             return None
         n.setflags(write=False)
         return n

@@ -21,9 +21,11 @@ so the production paths resum analytically:
 Both take the (M, N, 3) displacements kernel_block forms once and are
 cross-validated against the direct sum in the test suite.  All matrices are
 Hermitian; with sources on a single transverse layer (wire) or a single
-column (slab) they are real symmetric for every k.  On a lattice grid
-(Grid.lattice) K is a table f(m) of the squared integer distance
-(_lattice_kernel), and K @ v one FFT convolution (_lattice_apply).
+column (slab) they are real symmetric for every k.  On a sphere or a
+one-layer wire (Grid.lattice) K is a table f(m) of the squared integer
+distance per kappa and k (_lattice_kernel), which the solver folds into O_h
+or C4v blocks; on a sphere K @ v is one FFT convolution (_lattice_apply).
+Films and hand-built grids are assembled whole (assemble_kernel).
 """
 
 from __future__ import annotations
@@ -160,8 +162,9 @@ def slab_kernel_block(
     # g profile depends on (beta, z); z values repeat along columns of a
     # square kernel, but keep it general and vectorize over pairs x G.
     g = _recip_profile(beta[None, None, :], dz[..., None], eta)
-    ph = np.exp(1j * (qx[None, None, :] * dx[..., None] + qy[None, None, :] * dy[..., None]))
-    recip = (g * ph).sum(axis=-1) / area
+    if np.any(dx) or np.any(dy):  # else a column of sources: every phase is exactly 1
+        g = g * np.exp(1j * (qx * dx[..., None] + qy * dy[..., None]))
+    recip = g.sum(axis=-1) / area
 
     out = real_part + recip
     if exclude_self_image is not None:
@@ -208,11 +211,8 @@ def wire_kernel_block(
 
     arg = rho_safe[..., None] * beta[None, None, :]
     k0_vals = k0e(arg) * np.exp(-arg)
-    if abs(bloch_k) < 1e-300 and np.all(np.abs(dz) < 1e-300):
-        out = (2.0 / period) * k0_vals.sum(axis=-1)
-    else:
-        ph = np.exp(1j * q[None, None, :] * dz[..., None])
-        out = (2.0 / period) * (k0_vals * ph).sum(axis=-1)
+    ph = np.exp(1j * q[None, None, :] * dz[..., None])
+    out = (2.0 / period) * (k0_vals * ph).sum(axis=-1)
 
     coincident = np.zeros_like(near_line) if exclude_self_image is None else exclude_self_image
     if np.any(coincident):
@@ -230,10 +230,7 @@ def wire_kernel_block(
             dzk = dz[mi, ni] + shifts
             rr = np.hypot(rho[mi, ni], dzk)
             vals = np.exp(-kappa * rr) / rr
-            if abs(bloch_k) < 1e-300:
-                out[mi, ni] = vals.sum()
-            else:
-                out[mi, ni] = np.sum(vals * np.exp(1j * bloch_k * shifts))
+            out[mi, ni] = np.sum(vals * np.exp(1j * bloch_k * shifts))
     return out
 
 
@@ -364,11 +361,17 @@ def assemble_kernel(grid: Grid, kappa: float, bloch_k=None) -> np.ndarray:
     return 0.5 * (mat + mat.conj().T)
 
 
-def _lattice_kernel(a0: float, kappa: float, m) -> np.ndarray:
-    """K(kappa) between two lattice sites at squared integer distance m,
-    f(m) = exp(-kappa a0 sqrt m) / (a0 sqrt m) with f(0) = 0: a site with
-    itself drops its own term, as the diagonal of assemble_kernel does."""
-    r = a0 * np.sqrt(m)
+def _lattice_kernel(grid: Grid, kappa: float, m, bloch_k=None) -> np.ndarray:
+    """K(kappa) between two sites of a lattice grid (Grid.lattice) at squared
+    integer distance m, as in assemble_kernel.  Aperiodic: exp(-kappa a0 sqrt
+    m) / (a0 sqrt m), f(0) = 0 (a site drops its own term).  A wire of one
+    layer (m 1-D): the image sum at rho = a0 sqrt m, f(0) its self-image
+    closed form, real and positive off m = 0 at any k (K0 > 0 terms, dz = 0)."""
+    r = grid.spacing * np.sqrt(m)
+    if grid.periodic_axes:
+        d = np.zeros((len(r), 1, 3))
+        d[:, 0, (grid.periodic_axes[0][0] + 1) % 3] = r
+        return _image_sum(d, grid, kappa, bloch_k, (r == 0)[:, None])[:, 0]
     r[r == 0] = np.inf
     return np.exp(-kappa * r) / r
 
@@ -381,7 +384,10 @@ def _lattice_apply(grid: Grid, kappa: float, vecs, targets):
     length (next_fast_len) of at least the targets' plus the sites' extent
     less one, which keeps the wanted outputs free of wrap-around.  Columns,
     and the real and imaginary parts of a complex one, are transformed one
-    at a time, so temporaries stay at a few cubes."""
+    at a time, so temporaries stay at a few cubes.  A periodic grid raises
+    ValueError: its kernel is an image sum, not this convolution."""
+    if grid.periodic_axes:
+        raise ValueError("_lattice_apply convolves aperiodic lattice grids only")
     # imported here, off the cold start; a solve has loaded it with scipy.optimize
     from scipy.fft import next_fast_len
 
@@ -394,7 +400,7 @@ def _lattice_apply(grid: Grid, kappa: float, vecs, targets):
     axes = (0, 1, 2)
     d2 = [(np.arange(n) + lo) ** 2 for n, lo in zip(n_disp, t_lo - s_hi)]
     m = d2[0][:, None, None] + d2[1][:, None] + d2[2]
-    kernel_ft = np.fft.rfftn(_lattice_kernel(grid.spacing, kappa, m), shape, axes=axes)
+    kernel_ft = np.fft.rfftn(_lattice_kernel(grid, kappa, m), shape, axes=axes)
     del m
     at_sites = tuple((sites - s_lo).T)
     at_targets = tuple((targets - t_lo + (s_hi - s_lo)).T)

@@ -16,13 +16,14 @@ follows from the root: E_b = (hbar^2/2m_n) kappa^2.
 
 Branches are counted and rooted one symmetry block at a time, all through
 TopEigenSolver.  Sphere grids are integer lattices (Grid.lattice)
-invariant under the 48 signed axis permutations (O_h), so K(kappa) splits
-into one block per irrep (_OhBlocks), read from one table of K(kappa) over
-the squared integer distance (kernel._lattice_kernel).  A level of a
-d-dimensional irrep is d-fold degenerate, and the irrep names it (A1g s,
-T1u p or f, Eg/T2g d, A2u/T2u f).  Other grids, off-lattice ones
-included, are one dense block.  max_states caps the states returned at
-whole levels.
+invariant under the 48 signed axis permutations (O_h); a wire's one layer
+is one invariant under the 8 that fix its axis (C4v).  So K(kappa) splits
+into one block per irrep (_SymmetryBlocks), read from one table of K over
+the squared integer distance per kappa and k (kernel._lattice_kernel).  A
+level of a d-dimensional irrep is d-fold degenerate; on a sphere the irrep
+names it (A1g s, T1u p or f, Eg/T2g d, A2u/T2u f).  Films and hand-built
+grids, off-lattice ones included, are one dense block.  max_states caps the
+states returned at whole levels.
 """
 
 from __future__ import annotations
@@ -197,69 +198,89 @@ def _oh_group() -> tuple:
     return perms, signs, irreps
 
 
-class _OhBlocks:
-    """K(kappa) of an O_h-invariant lattice grid, one irrep at a time.
+@functools.lru_cache(maxsize=None)
+def _c4v_group(axis: int) -> tuple:
+    """The 8 elements of _oh_group() that fix axis and the 5 real
+    orthogonal C4v irreps, each restricted from an O_h one: A1 = 1, A2 =
+    det M, B1 = (-1)^swap, B2 = (-1)^swap det M and E = M in the plane."""
+    perms, signs, irreps = _oh_group()
+    fixed = (perms[:, axis] == axis) & (signs[:, axis] == 1)
+    oh = {name: rep[fixed] for name, rep in irreps}
+    plane = [a for a in range(3) if a != axis]
+    oh["E"] = oh["T1u"][:, plane][:, :, plane]
+    names = dict(A1="A1g", A2="A1u", B1="A2g", B2="A2u", E="E")
+    return perms[fixed], signs[fixed], [(c4v, oh[o]) for c4v, o in names.items()]
 
-    K commutes with the 48 site permutations, so the row-1 subspace of each
-    irrep, the image of P_11 = (d/48) sum_g D_11(g) g, is K-invariant and
+
+class _SymmetryBlocks:
+    """K(kappa) of a lattice grid invariant under a group of G signed axis
+    permutations, one irrep at a time: O_h (G = 48) on an aperiodic grid,
+    C4v (G = 8, those fixing the axis) on a wire of one transverse layer.
+
+    K commutes with the G site permutations, so the row-1 subspace of each
+    irrep, the image of P_11 = (d/G) sum_g D_11(g) g, is K-invariant and
     holds every eigenvalue of that irrep once (the full space holds it d
     times).  On the orbit of a representative site k it is spanned by
-    w_b = P_1b e_k (b = 1..d), at most 48 nonzeros each, whose Gram matrix
-    is (d/48) times the sum of D(g) over the stabilizer of k; the frame
+    w_b = P_1b e_k (b = 1..d), at most G nonzeros each, whose Gram matrix
+    is (d/G) times the sum of D(g) over the stabilizer of k; the frame
     orthonormalizes them.  Between orbits of representatives j and k,
-    w_b(j) . K w_c(k) = (d/48) sum_g D_bc(g) K[j, g k], and K[j, g k] is
+    w_b(j) . K w_c(k) = (d/G) sum_g D_bc(g) K[j, g k], and K[j, g k] is
     the lattice kernel of m[j, k, g] = |n_j - M_g n_k|^2 (_lattice_kernel),
-    so each block is one gather from a table of f(m) per kappa.
+    so each block is one gather from a table of f(m) per kappa and k.
     """
 
-    def __init__(self, grid: Grid, site_perms: np.ndarray):
+    def __init__(self, grid: Grid, irreps: list, site_perms: np.ndarray):
         self.grid = grid
         self.reps = np.unique(site_perms.min(axis=0))
-        self.images = site_perms[:, self.reps].T  # (orbits, 48): site of g rep
+        self.images = site_perms[:, self.reps].T  # (orbits, G): site of g rep
         n = grid.lattice.astype(float)  # exact for these integers
         n_rep = n[self.reps]
         norm2 = np.sum(n_rep * n_rep, axis=1)
         self.m_values = np.arange(4 * int(norm2.max()) + 1)  # bounds every |n_j - M_g n_k|^2
-        self.dist2 = np.empty((len(n_rep),) * 2 + (48,), np.min_scalar_type(self.m_values[-1]))
+        shape = (len(n_rep), len(n_rep), len(site_perms))
+        self.dist2 = np.empty(shape, np.min_scalar_type(self.m_values[-1]))
         for g, moved in enumerate(self.images.T):  # one (orbits, orbits) product per g
             self.dist2[:, :, g] = norm2[:, None] + norm2 - 2.0 * (n_rep @ n[moved].T)
         stabilizer = (self.images == self.reps[:, None]).astype(float)
         self.irreps = []  # (name, D, frame (orbits, d, d), flat columns that exist)
-        for name, rep in _oh_group()[2]:
+        for name, rep in irreps:
             d = rep.shape[1]
-            w, v = np.linalg.eigh((d / 48) * np.einsum("og,gab->oab", stabilizer, rep))
-            exists = w > 1e-9  # nonzero eigenvalues are d |stabilizer| / 48 >= 1/48
+            w, v = np.linalg.eigh((d / len(rep)) * np.einsum("og,gab->oab", stabilizer, rep))
+            exists = w > 1e-9  # nonzero eigenvalues are d |stabilizer| / G >= 1/48
             frame = v / np.sqrt(np.where(exists, w, np.inf))[:, None, :]
             self.irreps.append((name, rep, frame, np.flatnonzero(exists)))
 
     @classmethod
-    def of(cls, grid: Grid) -> Optional["_OhBlocks"]:
+    def of(cls, grid: Grid) -> Optional["_SymmetryBlocks"]:
         """The plan for grid, or None unless the grid has a lattice
-        (Grid.lattice) that each signed axis permutation maps onto itself."""
-        n = grid.lattice
-        if n is None:
+        (Grid.lattice) that each element of its group maps onto itself;
+        films and wires of several layers have no group."""
+        n, axes = grid.lattice, [axis for axis, _period in grid.periodic_axes]
+        if n is None or len(axes) > 1 or axes and np.ptp(n[:, axes[0]]):
             return None
         h = int(np.abs(n).max())
         where = np.full((2 * h + 1,) * 3, -1, dtype=np.intp)  # site at each lattice point
         where[tuple((n + h).T)] = np.arange(len(n))
-        perms, signs = _oh_group()[:2]  # g moves site i to site_perms[g, i]
+        perms, signs, irreps = _c4v_group(axes[0]) if axes else _oh_group()
+        # g moves site i to site_perms[g, i]
         site_perms = np.stack([where[tuple((n[:, p] * s + h).T)] for p, s in zip(perms, signs)])
-        return None if np.any(site_perms < 0) else cls(grid, site_perms)
+        return None if np.any(site_perms < 0) else cls(grid, irreps, site_perms)
 
-    def top(self, kappa: float, i: int, m: int) -> tuple:
-        """Top m eigenvalues of irrep i's block of K(kappa), descending, and
-        their block vectors as columns; a block with no rows has none."""
+    def top(self, kappa: float, i: int, m: int, bloch_k=None) -> tuple:
+        """Top m eigenvalues of irrep i's block of K(kappa) (at bloch_k on a
+        wire), descending, and their block vectors as columns; a block with
+        no rows has none."""
         _name, rep, frame, kept = self.irreps[i]
         d, n_orb, n = rep.shape[1], len(self.reps), len(kept)
         m = min(m, n)
         if not m:
             return np.zeros(0), np.zeros((n, 0))
-        f = _lattice_kernel(self.grid.spacing, kappa, self.m_values)
-        coef = d / 48 * rep.reshape(48, d * d)
+        f = _lattice_kernel(self.grid, kappa, self.m_values, bloch_k)
+        coef = d / len(rep) * rep.reshape(len(rep), d * d)
         h = np.empty((n_orb, d, n_orb, d))
-        for j in range(0, n_orb, KERNEL_ROWS):  # the whole gather is (orbits, orbits, 48)
+        for j in range(0, n_orb, KERNEL_ROWS):  # the whole gather is (orbits, orbits, G)
             rows = slice(j, j + KERNEL_ROWS)
-            # r[j, k, b, c] = (d/48) sum_g D_bc(g) K[rep_j, g rep_k]
+            # r[j, k, b, c] = (d/G) sum_g D_bc(g) K[rep_j, g rep_k]
             r = (f[self.dist2[rows]] @ coef).reshape(-1, n_orb, d, d)
             fold = frame[rows].transpose(0, 2, 1)[:, None] @ r @ frame[None]
             h[rows] = fold.transpose(0, 2, 1, 3)
@@ -274,9 +295,9 @@ class _OhBlocks:
         d, n_orb = rep.shape[1], len(self.reps)
         coords = np.zeros(n_orb * d)
         coords[kept] = x
-        # y: coefficients on the w_b; row a at site g rep is (d/48) D(g) y
+        # y: coefficients on the w_b; row a at site g rep is (d/G) D(g) y
         y = np.einsum("oba,oa->ob", frame, coords.reshape(n_orb, d))
-        at = (d / 48) * np.einsum("gab,ob->oga", rep, y).reshape(-1, d)
+        at = (d / len(rep)) * np.einsum("gab,ob->oga", rep, y).reshape(-1, d)
         psi = [np.bincount(self.images.ravel(), a, self.grid.n_points) for a in at.T]
         return _fix_phase(np.column_stack(psi))
 
@@ -284,8 +305,10 @@ class _OhBlocks:
 class TopEigenSolver:
     """Eigenpairs of K(kappa) for one grid and coupling, one symmetry block
     at a time.  blocks holds each block's (irrep name, d): the O_h irreps on
-    O_h-invariant lattice grids (every build_grid sphere), else one dense
-    eigh block (None, 1) of gauge-fixed unit states.
+    O_h-invariant lattice grids (every build_grid sphere), the C4v irreps
+    on a one-layer lattice wire (every build_grid wire, at any Bloch k),
+    else one dense eigh block (None, 1) of gauge-fixed unit states (films
+    and hand-built grids without such a lattice).
 
     A call diagonalizes afresh.  branches memoizes per (kappa, block) the
     top ceil(max_states / d) + 1 values, so a level running past the cap
@@ -295,10 +318,10 @@ class TopEigenSolver:
     def __init__(self, grid: Grid, coupling: Coupling, max_states: int, bloch_k=None):
         self.grid = grid
         self.bloch_k = bloch_k
-        self.oh = _OhBlocks.of(grid) if bloch_k is None else None
+        self.sym = _SymmetryBlocks.of(grid) if bloch_k is None or grid.periodic_axes else None
         self.blocks = [(None, 1)]
-        if self.oh is not None:
-            self.blocks = [(name, rep.shape[1]) for name, rep, *_ in self.oh.irreps]
+        if self.sym is not None:
+            self.blocks = [(name, rep.shape[1]) for name, rep, *_ in self.sym.irreps]
         self.sizes = [-(-max_states // d) + 1 for _name, d in self.blocks]
         self.strength = -coupling.c
         self._memo = {}
@@ -307,8 +330,8 @@ class TopEigenSolver:
         """Top m eigenvalues of the block, descending, their vectors as
         columns, and K times them (None for an irrep block, which holds no
         N x N matrix)."""
-        if self.oh is not None:
-            return self.oh.top(kappa, block, m) + (None,)
+        if self.sym is not None:
+            return self.sym.top(kappa, block, m, self.bloch_k) + (None,)
         mat = assemble_kernel(self.grid, kappa, self.bloch_k)
         n = mat.shape[0]
         m = min(m, n)
@@ -328,11 +351,15 @@ class TopEigenSolver:
 
     def level(self, kappa: float, block: int, members: list) -> tuple:
         """The unit states of the block's branches members at kappa, as
-        columns, and K(kappa) times them."""
+        columns, and K(kappa) times them: from the dense block's own
+        product, else by assemble_kernel on a wire and by the lattice FFT
+        (_lattice_apply) on a sphere."""
         _values, vecs, k_vecs = self._spectrum(kappa, block)
         if k_vecs is not None:
             return vecs[:, members], k_vecs[:, members]
-        units = np.hstack([self.oh.partners(block, x) for x in vecs[:, members].T])
+        units = np.hstack([self.sym.partners(block, x) for x in vecs[:, members].T])
+        if self.grid.periodic_axes:
+            return units, assemble_kernel(self.grid, kappa, self.bloch_k) @ units
         return units, _lattice_apply(self.grid, kappa, units, self.grid.lattice)
 
 
@@ -360,10 +387,10 @@ def solve_bound_states(
     its root does not converge.
 
     Levels are counted and rooted one symmetry block at a time, then merged
-    by kappa; each is one degeneracy group.  On O_h-invariant grids its
-    members are its irrep's partner functions (p_x, p_y, p_z for a p level)
-    and its label comes from the irrep (_level_label); other grids label
-    sb0, sb1...
+    by kappa; each is one degeneracy group.  On symmetric grids its members
+    are its irrep's partner functions (p_x, p_y, p_z for a p level; x-like
+    first in a wire's E pair), and on O_h grids its label comes from the
+    irrep (_level_label); other grids label sb0, sb1...
     """
     if coupling.c >= 0:
         raise ValueError("solve_bound_states requires c < 0")
@@ -441,15 +468,15 @@ def solve_bound_states(
 
 
 def _level_label(irrep, row1: np.ndarray, grid: Grid, group: int, named: list) -> str:
-    """n + letter of an irrep level, n its rank among the deeper levels of
-    the same irrep and letter; sb<group> without an irrep.
+    """n + letter of an O_h irrep level, n its rank among the deeper levels
+    of the same irrep and letter; sb<group> for a dense block or a wire.
 
     A1g, T1u, Eg and T2g each hold two angular momenta within reach (l = 0
     and 4, 1 and 3, 2 and 4, 2 and 4): a least-squares fit of the row-1
     state to both row-1 harmonics (_SHELL_FITS) on every shell of |r|
     decides which carries more power.
     """
-    if irrep is None:
+    if irrep not in _IRREP_ELL:
         return f"sb{group}"
     ell = _IRREP_ELL[irrep]
     if irrep in _SHELL_FITS:
@@ -470,9 +497,10 @@ def _level_label(irrep, row1: np.ndarray, grid: Grid, group: int, named: list) -
 
 def has_bound_state(grid: Grid, coupling: Coupling, bloch_k=None) -> bool:
     """Existence test: the top branch of block 0 above 1 at the kappa
-    floor, the one value a cap of 0 states asks for.  On O_h grids block 0
-    is A1g, which holds the positive Perron vector, so that branch is the
-    top one of the whole kernel."""
+    floor, the one value a cap of 0 states asks for.  Block 0 is A1g on O_h
+    grids and A1 on wires, and holds the positive Perron vector of K (every
+    entry off the diagonal is positive, a wire's a sum of K0 > 0 terms), so
+    that branch is the top one of the whole kernel."""
     if coupling.c >= 0:
         return False
     return bool(TopEigenSolver(grid, coupling, 0, bloch_k).branches(kappa_floor(), 0)[0] > 1.0)

@@ -33,9 +33,9 @@ def test_sphere_centered_and_symmetric():
 
 
 def test_lattice_is_the_integer_view_of_sphere_sites():
-    """Grid.lattice holds a sphere's build_grid integers; a grid with a site
-    off the a0 lattice, with two sites at one point, or with a periodic
-    axis has none."""
+    """Grid.lattice holds a sphere's build_grid integers and a wire's (x, y,
+    0) integers; a grid with a site off the a0 lattice or with two sites at
+    one point has none, and so has a film at half-integer heights."""
     n = 6
     grid = build_grid(GeometrySpec.sphere(12.0, n))
     ints = [p for p in itertools.product(range(-n, n + 1), repeat=3) if np.dot(p, p) <= n * n]
@@ -47,8 +47,12 @@ def test_lattice_is_the_integer_view_of_sphere_sites():
     half = half[np.sum(half**2, axis=1) <= n * n] * a0
     for pts in (grid.points + a0 / 3, half, np.vstack([grid.points, grid.points[:1]])):
         assert Grid(pts, a0, ()).lattice is None
-    for spec in (GeometrySpec.cylinder(25.0, 10), GeometrySpec.slab(100.0, 40)):
-        assert build_grid(spec).lattice is None
+    wire = build_grid(GeometrySpec.cylinder(25.0, 10))
+    square = itertools.product(range(-10, 11), repeat=2)
+    disc = [(x, y, 0) for x, y in square if x * x + y * y <= 100]
+    assert np.array_equal(wire.lattice, disc)
+    assert np.array_equal(wire.lattice * wire.spacing, wire.points)
+    assert build_grid(GeometrySpec.slab(100.0, 40)).lattice is None
 
 
 def test_slab_column():

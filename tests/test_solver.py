@@ -17,6 +17,7 @@ from nqdot.solver import (
     Coupling,
     _SHELL_FITS,
     TopEigenSolver,
+    _c4v_group,
     _oh_group,
     exterior_weight,
     finite_lifetime,
@@ -377,29 +378,52 @@ def test_r66_1g_shell_labels(lih, lih_bulk):
 # ---------------------------------------------------------------------------
 
 
-def _oh_matrices():
-    perms, signs, _irreps = _oh_group()
-    mats = np.zeros((48, 3, 3))
-    mats[np.arange(48)[:, None], np.arange(3), perms] = signs
+def _matrices(perms, signs):
+    mats = np.zeros((len(perms), 3, 3))
+    mats[np.arange(len(perms))[:, None], np.arange(3), perms] = signs
     return mats
 
 
-def test_oh_irreps_are_orthogonal_representations():
-    mats = _oh_matrices()
+def _oh_matrices():
+    return _matrices(*_oh_group()[:2])
+
+
+def _assert_orthogonal_representations(group, dims):
+    """Every irrep of the group is a homomorphism, D(gh) = D(g) D(h), the
+    dimensions are dims (so sum d^2 is the order) and the characters are
+    orthogonal."""
+    perms, signs, irreps = group
+    mats = _matrices(perms, signs)
+    order = len(mats)
     product = {}
-    for g in range(48):
-        for h in range(48):
+    for g in range(order):
+        for h in range(order):
             gh = mats[g] @ mats[h]
-            product[g, h] = next(k for k in range(48) if np.array_equal(mats[k], gh))
+            product[g, h] = next(k for k in range(order) if np.array_equal(mats[k], gh))
     chars = []
-    irreps = _oh_group()[2]
     for _name, rep in irreps:
         for (g, h), gh in product.items():
             assert np.allclose(rep[g] @ rep[h], rep[gh], atol=1e-14)
         chars.append(np.trace(rep, axis1=1, axis2=2))
     chars = np.array(chars)
-    assert sorted(rep.shape[1] for _n, rep in irreps) == [1, 1, 1, 1, 2, 2, 3, 3, 3, 3]
-    assert np.allclose(chars @ chars.T, 48.0 * np.eye(10), atol=1e-12)
+    assert sorted(rep.shape[1] for _n, rep in irreps) == dims
+    assert sum(d * d for d in dims) == order
+    assert np.allclose(chars @ chars.T, order * np.eye(len(dims)), atol=1e-12)
+
+
+def test_oh_irreps_are_orthogonal_representations():
+    _assert_orthogonal_representations(_oh_group(), [1, 1, 1, 1, 2, 2, 3, 3, 3, 3])
+
+
+def test_c4v_irreps_are_orthogonal_representations():
+    """The wire group: the 8 signed axis permutations that fix the periodic
+    axis (identity first), A1 (the Perron block) first among its irreps."""
+    for axis in range(3):
+        group = _c4v_group(axis)
+        mats = _matrices(*group[:2])
+        assert np.all(mats[:, axis, axis] == 1) and np.array_equal(mats[0], np.eye(3))
+        assert [name for name, _rep in group[2]] == ["A1", "A2", "B1", "B2", "E"]
+        _assert_orthogonal_representations(group, [1, 1, 1, 1, 2])
 
 
 def test_shell_fit_harmonics_are_row1_and_orthogonal():
@@ -440,7 +464,7 @@ def test_symmetry_blocks_match_dense_reference(lih):
     coupling = Coupling.from_composition(lih, grid)
     m = 16
     eigen = TopEigenSolver(grid, coupling, m)
-    assert eigen.oh is not None
+    assert eigen.sym is not None
     for kappa in np.geomspace(kappa_floor(), coupling.kappa_star, 5):
         dense = -coupling.c * np.linalg.eigvalsh(assemble_kernel(grid, kappa))[::-1][:m]
         merged = np.concatenate(
@@ -476,6 +500,54 @@ def test_symmetry_blocks_match_dense_reference(lih):
         assert any(
             d.shape == rep.shape and np.allclose(rep, d, atol=1e-10) for _n, d in irreps
         )
+
+
+@pytest.mark.parametrize("grid_div", [6, 10])
+def test_wire_blocks_match_dense_reference(grid_div, lih):
+    """An R = 25 nm wire solves in C4v blocks at every Bloch k: each
+    block's whole spectrum, repeated d times, is the dense spectrum of the
+    assembled kernel, and the solve's states (labels sb<group>, the E pair
+    one level) satisfy the dense kernel equation."""
+    grid = build_grid(GeometrySpec.cylinder(25.0, grid_div))
+    coupling = Coupling.from_composition(lih, grid)
+    for k in (0.0, 0.04):
+        bloch = np.array([0.0, 0.0, k])
+        eigen = TopEigenSolver(grid, coupling, 4, bloch)
+        assert [d for _name, d in eigen.blocks] == [1, 1, 1, 1, 2]
+        for kappa in (0.02, 0.08, 0.2):
+            dense = np.linalg.eigvalsh(assemble_kernel(grid, kappa, bloch))
+            blocks = [
+                np.repeat(eigen.sym.top(kappa, b, grid.n_points, bloch)[0], d)
+                for b, (_name, d) in enumerate(eigen.blocks)
+            ]
+            merged = np.sort(np.concatenate(blocks))
+            assert merged.shape == dense.shape
+            assert np.max(np.abs(merged - dense)) <= 1e-13 * np.max(np.abs(dense))
+
+        states = solve_bound_states(grid, coupling, max_states=4, bloch_k=bloch)
+        assert [s.level_label for s in states] == ["sb0", "sb1", "sb1"]
+        psi = np.column_stack([s.psi for s in states]) * grid.spacing**1.5
+        assert np.allclose(psi.T @ psi, np.eye(3), atol=1e-12)
+        for s, v in zip(states, psi.T):
+            kernel = assemble_kernel(grid, s.kappa, bloch)
+            assert np.linalg.norm(v + coupling.c * (kernel @ v)) <= 1e-9
+
+
+def test_wire_existence_test_reads_the_dense_top_branch(lih):
+    """On a wire block 0 is A1, which holds the positive Perron vector, so
+    has_bound_state reads the top branch of the whole kernel: bound at
+    small k on a 25 nm wire, unbound at k = 0.1/nm and on a 5 nm wire."""
+    found = []
+    for radius, k in ((25.0, 0.0), (25.0, 0.05), (25.0, 0.1), (5.0, 0.0)):
+        grid = build_grid(GeometrySpec.cylinder(radius, 6))
+        coupling = Coupling.from_composition(lih, grid)
+        bloch = np.array([0.0, 0.0, k])
+        dense = -coupling.c * np.linalg.eigvalsh(assemble_kernel(grid, kappa_floor(), bloch))[-1]
+        top = TopEigenSolver(grid, coupling, 0, bloch).branches(kappa_floor(), 0)[0]
+        assert top == pytest.approx(dense, rel=1e-13)
+        found.append(has_bound_state(grid, coupling, bloch))
+        assert found[-1] == (dense > 1.0)
+    assert found == [True, True, False, False]
 
 
 def test_kernel_block_clearance_is_one_rule_on_every_grid():
@@ -710,6 +782,15 @@ def test_on_site_lattice_apply_matches_assembled_kernel(grid_div, monkeypatch, l
     states = solve_bound_states(grid, Coupling.from_composition(lih, grid), max_states=12)
     labels = spherical_well_state_labels(lih_bulk.e_b_star, 30.0)
     assert [s.level_label for s in states] == labels
+
+
+def test_lattice_apply_rejects_periodic_grids():
+    """A wire has a lattice, but its kernel is an image sum: the aperiodic
+    lattice convolution raises instead of applying the wrong kernel."""
+    wire = build_grid(GeometrySpec.cylinder(25.0, 6))
+    assert wire.lattice is not None
+    with pytest.raises(ValueError):
+        _lattice_apply(wire, 0.05, np.ones(wire.n_points), wire.lattice)
 
 
 @pytest.mark.parametrize("sites", ["shifted by a0/3", "half-integer"])
